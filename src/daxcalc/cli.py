@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands delegate to the library and print canonical-order text, one
+The computing subcommands build session queries and evaluate them through
+documents.execute, as `run` does, and print canonical-order text, one
 result per line, or JSON with --json.  Output on stdout is byte-identical
 across runs for identical inputs; --verbose writes extra context to stderr
 only.  Exit codes: 0 success, 1 parse error, 2 validation error (argparse
@@ -15,9 +16,9 @@ import sys
 from typing import Sequence
 
 from .documents import (
+    Query,
+    SessionDocument,
     disc_from_json,
-    disc_to_json,
-    dump_json,
     execute,
     load_json,
     manifold_from_json,
@@ -26,10 +27,8 @@ from .documents import (
     render_text,
     session_from_json,
 )
-from .engine import compare, phi
 from .errors import ParseError, ValidationError
-from .forms import ManifoldModel, normalize
-from .pairing import dax_value
+from .forms import ManifoldModel
 from .presets import PRESET_IDS, instantiate
 from .words import parse_ringexpr
 
@@ -66,61 +65,36 @@ def _emit(args: argparse.Namespace, payload, lines: list[str]) -> None:
         sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _cmd_invariant(args: argparse.Namespace) -> None:
+def _queries(args: argparse.Namespace, manifold: ManifoldModel) -> list[tuple[Query, list[str]]]:
+    """The session queries a subcommand asks, each with the disc files it reads."""
+    if args.command == "compare":
+        return [(Query("compare", discs=(args.disc1, args.disc2)), [args.disc1, args.disc2])]
+    if args.command == "reduce":
+        return [(Query("reduce", element=parse_ringexpr(args.element, manifold.group)), [])]
+    if args.command == "pairing":
+        points = point_document_from_json(
+            load_json(_read_file(args.points)), manifold.group, args.points
+        )
+        return [(Query("pairing", points=points), [])]
+    return [(Query(args.command, disc=path), [path]) for path in args.disc]
+
+
+def _cmd_query(args: argparse.Namespace) -> None:
     manifold = _load_manifold(args)
     _note(args, f"manifold: {manifold.describe()}")
     results = []
-    for path in args.disc:
-        value = phi(_load_disc(path, manifold), manifold)
-        results.append({"disc": path, "value": str(value)})
-    _emit(args, results, [r["value"] for r in results])
-
-
-def _cmd_compare(args: argparse.Namespace) -> None:
-    manifold = _load_manifold(args)
-    _note(args, f"manifold: {manifold.describe()}")
-    verdict = compare(
-        _load_disc(args.disc1, manifold), _load_disc(args.disc2, manifold), manifold
-    )
-    payload = {
-        "outcome": verdict.outcome,
-        "certificate": verdict.certificate,
-        "rule": verdict.rule,
-    }
-    _note(args, f"rule: {verdict.rule}")
-    _emit(args, payload, [f"{verdict.outcome}  certificate: {verdict.certificate}"])
-
-
-def _cmd_reduce(args: argparse.Namespace) -> None:
-    manifold = _load_manifold(args)
-    _note(args, f"manifold: {manifold.describe()}")
-    value = manifold.kernel.reduce(parse_ringexpr(args.element, manifold.group))
-    _emit(args, {"value": str(value)}, [str(value)])
-
-
-def _cmd_normalize(args: argparse.Namespace) -> None:
-    manifold = _load_manifold(args)
-    _note(args, f"manifold: {manifold.describe()}")
-    results = []
-    for path in args.disc:
-        normed = normalize(_load_disc(path, manifold), manifold)
-        results.append({"disc": path, "value": disc_to_json(normed)})
-    _emit(args, results, [dump_json(r["value"]) for r in results])
-
-
-def _cmd_pairing(args: argparse.Namespace) -> None:
-    manifold = _load_manifold(args)
-    _note(args, f"manifold: {manifold.describe()}")
-    points = point_document_from_json(
-        load_json(_read_file(args.points)), manifold.group, args.points
-    )
-    value = dax_value(points, manifold.group)
-    _note(args, f"identity loops dropped: {value.dropped}")
-    _emit(
-        args,
-        {"value": str(value.value), "dropped": value.dropped},
-        [str(value.value)],
-    )
+    # Each query's files are decoded just before it runs, so with several bad
+    # --disc files the first one in argument order decides the error.
+    for query, paths in _queries(args, manifold):
+        discs = {path: _load_disc(path, manifold) for path in paths}
+        results.extend(execute(SessionDocument(manifold, discs, (query,))))
+    for result in results:
+        if "rule" in result:
+            _note(args, f"rule: {result['rule']}")
+        if "dropped" in result:
+            _note(args, f"identity loops dropped: {result['dropped']}")
+    payload = [{k: v for k, v in r.items() if k not in ("kind", "discs")} for r in results]
+    _emit(args, payload if "disc" in args else payload[0], render_text(results))
 
 
 def _cmd_presets(args: argparse.Namespace) -> None:
@@ -162,32 +136,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_manifold_options(p)
     p.add_argument("--disc", metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)")
     _add_common(p)
-    p.set_defaults(func=_cmd_invariant)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("compare", help="decide (non-)isotopy of two discs")
     _add_manifold_options(p)
     p.add_argument("disc1", metavar="DISC1", help="first disc JSON file")
     p.add_argument("disc2", metavar="DISC2", help="second disc JSON file")
     _add_common(p)
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("reduce", help="reduce a ring expression modulo the kernel")
     _add_manifold_options(p)
     p.add_argument("--element", metavar="RINGEXPR", required=True, help="ring expression to reduce")
     _add_common(p)
-    p.set_defaults(func=_cmd_reduce)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("normalize", help="normal form of disc data")
     _add_manifold_options(p)
     p.add_argument("--disc", metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)")
     _add_common(p)
-    p.set_defaults(func=_cmd_normalize)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("pairing", help="signed sum over a double-point list")
     _add_manifold_options(p)
     p.add_argument("points", metavar="POINTS", help="double-point list JSON file")
     _add_common(p)
-    p.set_defaults(func=_cmd_pairing)
+    p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("presets", help="list built-in manifolds")
     _add_common(p)

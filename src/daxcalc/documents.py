@@ -103,6 +103,16 @@ def _field_ringexpr(value: Any, spec: GroupSpec, path: str) -> RingElement:
         raise ValidationError(str(exc), path) from None
 
 
+def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
+    """An object {"sign": 1 or -1, "word": WORD}, as in sr_discs and point lists."""
+    data = _expect_object(value, path)
+    _check_keys(data, path, {"sign", "word"})
+    sign = _expect_int(data["sign"], f"{path}.sign")
+    if sign not in (1, -1):
+        raise ValidationError(f"sign must be 1 or -1, got {sign}", f"{path}.sign")
+    return sign, _field_word(data["word"], spec, f"{path}.word")
+
+
 def group_from_json(obj: Any, path: str = "group") -> GroupSpec:
     data = _expect_object(obj, path)
     _check_keys(data, path, {"factors"})
@@ -201,13 +211,7 @@ def disc_from_json(obj: Any, spec: GroupSpec, path: str = "disc") -> SRData:
         tubes.append(_field_word(entry, spec, f"{path}.double_tubes[{i}]"))
     discs = []
     for i, entry in enumerate(_expect_list(data.get("sr_discs", []), f"{path}.sr_discs")):
-        dpath = f"{path}.sr_discs[{i}]"
-        dobj = _expect_object(entry, dpath)
-        _check_keys(dobj, dpath, {"sign", "word"})
-        sign = _expect_int(dobj["sign"], f"{dpath}.sign")
-        if sign not in (1, -1):
-            raise ValidationError(f"sign must be 1 or -1, got {sign}", f"{dpath}.sign")
-        discs.append((sign, _field_word(dobj["word"], spec, f"{dpath}.word")))
+        discs.append(_signed_word(entry, spec, f"{path}.sr_discs[{i}]"))
     return SRData(tuple(tubes), tuple(discs))
 
 
@@ -221,19 +225,9 @@ def disc_to_json(data: SRData) -> dict:
 def points_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
     points = []
     for i, entry in enumerate(_expect_list(obj, path)):
-        ppath = f"{path}[{i}]"
-        pobj = _expect_object(entry, ppath)
-        _check_keys(pobj, ppath, {"sign", "word"})
-        sign = _expect_int(pobj["sign"], f"{ppath}.sign")
-        if sign not in (1, -1):
-            raise ValidationError(f"sign must be 1 or -1, got {sign}", f"{ppath}.sign")
         # identity loops are legal here; evaluation filters them out
-        points.append((sign, _field_word(pobj["word"], spec, f"{ppath}.word")))
+        points.append(_signed_word(entry, spec, f"{path}[{i}]"))
     return tuple(points)
-
-
-def points_to_json(points: PointList) -> dict:
-    return {"points": [{"sign": s, "word": str(g)} for s, g in points]}
 
 
 def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:

@@ -72,7 +72,7 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
         elif not tube.is_two_torsion():
             problems.append(f"double_tubes[{i}]: element is not 2-torsion")
     for j, (sign, g) in enumerate(data.sr_discs):
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             problems.append(f"sr_discs[{j}]: sign must be +1 or -1, got {sign}")
         if not isinstance(g, GroupElement) or g.spec != manifold.group:
             problems.append(f"sr_discs[{j}]: element is not over the manifold group")

@@ -24,7 +24,7 @@ class DaxValue(NamedTuple):
 
 def _check_points(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> None:
     for i, (sign, loop) in enumerate(points):
-        if sign not in (1, -1):
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
         if loop.spec != spec:
             raise ValidationError(f"points[{i}]: element is not over the given group spec")

@@ -45,6 +45,11 @@ def test_validate_reports_each_problem():
     assert len(problems) == 4
 
 
+def test_validate_rejects_boolean_sign():
+    problems = validate(SRData((), ((True, T),)), M)
+    assert problems == ["sr_discs[0]: sign must be +1 or -1, got True"]
+
+
 def test_validate_foreign_elements():
     other = GroupSpec((Factor("t"),))
     data = SRData((), ((1, other.generator("t")),))

@@ -37,6 +37,8 @@ def test_dax_value_drops_identity_loops():
 def test_dax_value_validation():
     with pytest.raises(ValidationError):
         dax_value([(0, T)], SPEC)
+    with pytest.raises(ValidationError):
+        dax_value([(True, T)], SPEC)
     other = GroupSpec((Factor("t"),))
     with pytest.raises(ValidationError):
         dax_value([(1, other.generator("t"))], SPEC)
