@@ -41,10 +41,16 @@ PointList = tuple[tuple[int, GroupElement], ...]
 
 
 def load_json(text: str) -> Any:
+    """Decode JSON text; over-deep nesting and over-long integers are parse errors."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep") from None
+    except ValueError:
+        # the only other ValueError: an integer past the int-string digit limit
+        raise ParseError("invalid JSON: integer literal too long") from None
 
 
 def dump_json(value: Any) -> str:
@@ -52,51 +58,32 @@ def dump_json(value: Any) -> str:
     return json.dumps(value, separators=(", ", ": "), sort_keys=False)
 
 
-def _expect_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"expected an object, got {type(value).__name__}", path)
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _expect(value: Any, kind: type, path: str) -> Any:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}", path)
     return value
 
 
-def _expect_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"expected a list, got {type(value).__name__}", path)
-    return value
-
-
-def _expect_string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"expected a string, got {type(value).__name__}", path)
-    return value
-
-
-def _expect_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"expected an integer, got {type(value).__name__}", path)
-    return value
-
-
-def _check_keys(obj: dict, path: str, required: set, optional: set = frozenset()) -> None:
+def _object(value: Any, path: str, required: set, optional: set = frozenset()) -> dict:
+    """An object with every required key and no key outside required and optional."""
+    data = _expect(value, dict, path)
     for key in required:
-        if key not in obj:
+        if key not in data:
             raise ValidationError(f"missing required key {key!r}", path)
-    for key in obj:
+    for key in data:
         if key not in required and key not in optional:
             raise ValidationError(f"unknown key {key!r}", path)
+    return data
 
 
-def _field_word(value: Any, spec: GroupSpec, path: str) -> GroupElement:
-    text = _expect_string(value, path)
+def _field(parse, value: Any, spec: GroupSpec, path: str):
+    """A string field parsed by parse_word or parse_ringexpr, errors prefixed by path."""
+    text = _expect(value, str, path)
     try:
-        return parse_word(text, spec)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc.args[0]}") from None
-
-
-def _field_ringexpr(value: Any, spec: GroupSpec, path: str) -> RingElement:
-    text = _expect_string(value, path)
-    try:
-        return parse_ringexpr(text, spec)
+        return parse(text, spec)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc.args[0]}") from None
     except ValidationError as exc:
@@ -105,31 +92,29 @@ def _field_ringexpr(value: Any, spec: GroupSpec, path: str) -> RingElement:
 
 def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
     """An object {"sign": 1 or -1, "word": WORD}, as in sr_discs and point lists."""
-    data = _expect_object(value, path)
-    _check_keys(data, path, {"sign", "word"})
-    sign = _expect_int(data["sign"], f"{path}.sign")
+    data = _object(value, path, {"sign", "word"})
+    sign = _expect(data["sign"], int, f"{path}.sign")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be 1 or -1, got {sign}", f"{path}.sign")
-    return sign, _field_word(data["word"], spec, f"{path}.word")
+    return sign, _field(parse_word, data["word"], spec, f"{path}.word")
 
 
 def group_from_json(obj: Any, path: str = "group") -> GroupSpec:
-    data = _expect_object(obj, path)
-    _check_keys(data, path, {"factors"})
+    data = _object(obj, path, {"factors"})
     factors = []
-    for i, entry in enumerate(_expect_list(data["factors"], f"{path}.factors")):
+    for i, entry in enumerate(_expect(data["factors"], list, f"{path}.factors")):
         fpath = f"{path}.factors[{i}]"
-        fobj = _expect_object(entry, fpath)
-        kind = _expect_string(fobj.get("type"), f"{fpath}.type")
+        fobj = _expect(entry, dict, fpath)
+        kind = _expect(fobj.get("type"), str, f"{fpath}.type")
         if kind == "Z":
-            _check_keys(fobj, fpath, {"type", "name"})
+            _object(fobj, fpath, {"type", "name"})
             order = None
         elif kind == "Zn":
-            _check_keys(fobj, fpath, {"type", "name", "n"})
-            order = _expect_int(fobj["n"], f"{fpath}.n")
+            _object(fobj, fpath, {"type", "name", "n"})
+            order = _expect(fobj["n"], int, f"{fpath}.n")
         else:
             raise ValidationError(f"unknown factor type {kind!r}; expected 'Z' or 'Zn'", f"{fpath}.type")
-        name = _expect_string(fobj["name"], f"{fpath}.name")
+        name = _expect(fobj["name"], str, f"{fpath}.name")
         try:
             factors.append(Factor(name, order))
         except ValidationError as exc:
@@ -150,25 +135,24 @@ def group_to_json(spec: GroupSpec) -> dict:
     return {"factors": factors}
 
 
+_KERNEL_PRESETS = {"trivial": TrivialKernel, "inverse_pairs": InversePairsKernel}
+
+
 def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> KernelSpec:
-    data = _expect_object(obj, path)
+    data = _expect(obj, dict, path)
     if "preset" in data:
-        _check_keys(data, path, {"preset"})
-        name = _expect_string(data["preset"], f"{path}.preset")
-        if name == "trivial":
-            return TrivialKernel()
-        if name == "inverse_pairs":
-            return InversePairsKernel()
-        raise ValidationError(
-            f"unknown kernel preset {name!r}; expected 'trivial' or 'inverse_pairs'",
-            f"{path}.preset",
-        )
+        _object(data, path, {"preset"})
+        name = _expect(data["preset"], str, f"{path}.preset")
+        if name not in _KERNEL_PRESETS:
+            expected = " or ".join(map(repr, _KERNEL_PRESETS))
+            raise ValidationError(f"unknown kernel preset {name!r}; expected {expected}", f"{path}.preset")
+        return _KERNEL_PRESETS[name]()
     if "generators" in data:
-        _check_keys(data, path, {"generators"})
+        _object(data, path, {"generators"})
         generators = []
-        for i, entry in enumerate(_expect_list(data["generators"], f"{path}.generators")):
+        for i, entry in enumerate(_expect(data["generators"], list, f"{path}.generators")):
             gpath = f"{path}.generators[{i}]"
-            gen = _field_ringexpr(entry, spec, gpath)
+            gen = _field(parse_ringexpr, entry, spec, gpath)
             if gen.is_zero:
                 raise ValidationError("kernel generator must be nonzero", gpath)
             generators.append(gen)
@@ -177,19 +161,17 @@ def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> Ker
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:
-    if isinstance(kernel, TrivialKernel):
-        return {"preset": "trivial"}
-    if isinstance(kernel, InversePairsKernel):
-        return {"preset": "inverse_pairs"}
+    for name, preset in _KERNEL_PRESETS.items():
+        if isinstance(kernel, preset):
+            return {"preset": name}
     return {"generators": [str(g) for g in kernel.generators]}
 
 
 def manifold_from_json(obj: Any, path: str = "manifold") -> ManifoldModel:
-    data = _expect_object(obj, path)
-    _check_keys(data, path, {"group", "dax_kernel"}, {"label"})
+    data = _object(obj, path, {"group", "dax_kernel"}, {"label"})
     spec = group_from_json(data["group"], f"{path}.group")
     kernel = kernel_from_json(data["dax_kernel"], spec, f"{path}.dax_kernel")
-    label = _expect_string(data["label"], f"{path}.label") if "label" in data else ""
+    label = _expect(data["label"], str, f"{path}.label") if "label" in data else ""
     return ManifoldModel(spec, kernel, label)
 
 
@@ -204,15 +186,12 @@ def manifold_to_json(manifold: ManifoldModel) -> dict:
 
 
 def disc_from_json(obj: Any, spec: GroupSpec, path: str = "disc") -> SRData:
-    data = _expect_object(obj, path)
-    _check_keys(data, path, set(), {"double_tubes", "sr_discs"})
+    data = _object(obj, path, set(), {"double_tubes", "sr_discs"})
     tubes = []
-    for i, entry in enumerate(_expect_list(data.get("double_tubes", []), f"{path}.double_tubes")):
-        tubes.append(_field_word(entry, spec, f"{path}.double_tubes[{i}]"))
-    discs = []
-    for i, entry in enumerate(_expect_list(data.get("sr_discs", []), f"{path}.sr_discs")):
-        discs.append(_signed_word(entry, spec, f"{path}.sr_discs[{i}]"))
-    return SRData(tuple(tubes), tuple(discs))
+    for i, entry in enumerate(_expect(data.get("double_tubes", []), list, f"{path}.double_tubes")):
+        tubes.append(_field(parse_word, entry, spec, f"{path}.double_tubes[{i}]"))
+    discs = points_from_json(data.get("sr_discs", []), spec, f"{path}.sr_discs")
+    return SRData(tuple(tubes), discs)
 
 
 def disc_to_json(data: SRData) -> dict:
@@ -223,8 +202,9 @@ def disc_to_json(data: SRData) -> dict:
 
 
 def points_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
+    """A list of signed words: double points, or the sr_discs of disc data."""
     points = []
-    for i, entry in enumerate(_expect_list(obj, path)):
+    for i, entry in enumerate(_expect(obj, list, path)):
         # identity loops are legal here; evaluation filters them out
         points.append(_signed_word(entry, spec, f"{path}[{i}]"))
     return tuple(points)
@@ -232,8 +212,7 @@ def points_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointLi
 
 def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
     """The standalone file form {"points": [...]} used by the pairing command."""
-    data = _expect_object(obj, path)
-    _check_keys(data, path, {"points"})
+    data = _object(obj, path, {"points"})
     return points_from_json(data["points"], spec, f"{path}.points")
 
 
@@ -256,37 +235,36 @@ class SessionDocument:
 
 
 def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Query:
-    data = _expect_object(obj, path)
-    kind = _expect_string(data.get("kind"), f"{path}.kind")
+    data = _expect(obj, dict, path)
+    kind = _expect(data.get("kind"), str, f"{path}.kind")
 
     def disc_name(value: Any, dpath: str) -> str:
-        name = _expect_string(value, dpath)
+        name = _expect(value, str, dpath)
         if name not in declared:
             raise ValidationError(f"undeclared disc {name!r}", dpath)
         return name
 
     if kind in ("invariant", "normalize"):
-        _check_keys(data, path, {"kind", "disc"})
+        _object(data, path, {"kind", "disc"})
         return Query(kind, disc=disc_name(data["disc"], f"{path}.disc"))
     if kind == "compare":
-        _check_keys(data, path, {"kind", "discs"})
-        pair = _expect_list(data["discs"], f"{path}.discs")
+        _object(data, path, {"kind", "discs"})
+        pair = _expect(data["discs"], list, f"{path}.discs")
         if len(pair) != 2:
             raise ValidationError("compare takes exactly two disc names", f"{path}.discs")
         names = tuple(disc_name(n, f"{path}.discs[{i}]") for i, n in enumerate(pair))
         return Query(kind, discs=names)
     if kind == "reduce":
-        _check_keys(data, path, {"kind", "element"})
-        return Query(kind, element=_field_ringexpr(data["element"], spec, f"{path}.element"))
+        _object(data, path, {"kind", "element"})
+        return Query(kind, element=_field(parse_ringexpr, data["element"], spec, f"{path}.element"))
     if kind == "pairing":
-        _check_keys(data, path, {"kind", "points"})
+        _object(data, path, {"kind", "points"})
         return Query(kind, points=points_from_json(data["points"], spec, f"{path}.points"))
     raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
 
 
 def session_from_json(obj: Any, path: str = "session") -> SessionDocument:
-    data = _expect_object(obj, path)
-    _check_keys(data, path, {"manifold"}, {"discs", "queries"})
+    data = _object(obj, path, {"manifold"}, {"discs", "queries"})
     raw_manifold = data["manifold"]
     if isinstance(raw_manifold, str):
         try:
@@ -296,10 +274,10 @@ def session_from_json(obj: Any, path: str = "session") -> SessionDocument:
     else:
         manifold = manifold_from_json(raw_manifold, f"{path}.manifold")
     discs: dict[str, SRData] = {}
-    for name, entry in _expect_object(data.get("discs", {}), f"{path}.discs").items():
+    for name, entry in _expect(data.get("discs", {}), dict, f"{path}.discs").items():
         discs[name] = disc_from_json(entry, manifold.group, f"{path}.discs.{name}")
     queries = []
-    for i, entry in enumerate(_expect_list(data.get("queries", []), f"{path}.queries")):
+    for i, entry in enumerate(_expect(data.get("queries", []), list, f"{path}.queries")):
         queries.append(_query_from_json(entry, discs, manifold.group, f"{path}.queries[{i}]"))
     return SessionDocument(manifold, discs, tuple(queries))
 

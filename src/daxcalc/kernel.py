@@ -69,11 +69,11 @@ class ExplicitKernel:
             raise ValidationError("kernel generators must share one group spec")
 
     def reduce(self, x: RingElement) -> RingElement:
-        for gen in self.generators:
-            if gen.spec != x.spec:
-                raise ValidationError("kernel generators use a different group spec")
         if not self.generators:
             return x
+        # __post_init__ guarantees that all generators share one spec
+        if self.generators[0].spec != x.spec:
+            raise ValidationError("kernel generators use a different group spec")
         support = {g for g, _ in x.items()}
         for gen in self.generators:
             support.update(gen.support())

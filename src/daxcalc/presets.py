@@ -14,24 +14,23 @@ from .forms import ManifoldModel
 from .groups import Factor, GroupSpec
 from .kernel import InversePairsKernel, TrivialKernel
 
-PRESET_IDS = ("boundary_connect_sum", "connect_sum", "simply_connected")
+_T = GroupSpec((Factor("t"),))  # infinite cyclic, generated by t
+_PIECES = "S^2 x D^2 and S^1 x B^3"
+
+_PRESETS = {
+    "boundary_connect_sum": ManifoldModel(_T, TrivialKernel(), f"boundary connect sum of {_PIECES}"),
+    "connect_sum": ManifoldModel(_T, InversePairsKernel(), f"connect sum of {_PIECES}"),
+    "simply_connected": ManifoldModel(GroupSpec(), TrivialKernel(), "simply connected manifold"),
+}
+
+PRESET_IDS = tuple(_PRESETS)
 
 
 def instantiate(preset_id: str) -> ManifoldModel:
-    if preset_id == "boundary_connect_sum":
-        return ManifoldModel(
-            GroupSpec((Factor("t"),)),
-            TrivialKernel(),
-            "boundary connect sum of S^2 x D^2 and S^1 x B^3",
-        )
-    if preset_id == "connect_sum":
-        return ManifoldModel(
-            GroupSpec((Factor("t"),)),
-            InversePairsKernel(),
-            "connect sum of S^2 x D^2 and S^1 x B^3",
-        )
-    if preset_id == "simply_connected":
-        return ManifoldModel(GroupSpec(), TrivialKernel(), "simply connected manifold")
-    raise ValidationError(
-        f"unknown preset {preset_id!r}; available: {', '.join(PRESET_IDS)}"
-    )
+    """The preset's model; models are frozen, so every call shares one object."""
+    try:
+        return _PRESETS[preset_id]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            f"unknown preset {preset_id!r}; available: {', '.join(PRESET_IDS)}"
+        ) from None

@@ -24,7 +24,7 @@ class RingElement:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
-        keys = [g for g, _ in self.terms]
+        keys = []
         for g, coeff in self.terms:
             if g.spec != self.spec:
                 raise ValidationError("term element belongs to a different group spec")
@@ -32,7 +32,9 @@ class RingElement:
                 raise ValidationError("identity element is excluded from the support")
             if coeff == 0:
                 raise ValidationError("zero coefficients must not be stored")
-        if keys != sorted(keys, key=canonical_key) or len(set(keys)) != len(keys):
+            keys.append(canonical_key(g))
+        # canonical_key is injective on reduced words: sorted and distinct = keys increase
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValidationError("terms must be strictly sorted in canonical order")
 
     @classmethod

@@ -22,6 +22,7 @@ from daxcalc import (
     GroupElement,
     GroupSpec,
     InversePairsKernel,
+    ParseError,
     RingElement,
     SRData,
     TrivialKernel,
@@ -185,3 +186,52 @@ def lattice_member(rows: list[list[int]], target: list[int]) -> bool:
         if lattice_member(rest, shifted):
             return True
     return False
+
+
+# The hand-written tokenizer of daxcalc.words before it became one regex
+# scanner, kept verbatim as the reference for the differential tests.
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
+def _is_name_char(ch: str) -> bool:
+    return ch == "_" or _is_digit(ch) or ("a" <= ch <= "z") or ("A" <= ch <= "Z")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "*+-^":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif _is_digit(ch):
+            j = i
+            while j < len(text) and _is_digit(text[j]):
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+        elif _is_name_char(ch):
+            j = i
+            while j < len(text) and _is_name_char(text[j]):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+# names, "_", ASCII digits, operators, ASCII and Unicode whitespace
+# (\x1c is a separator that str.isspace accepts), Unicode digits and junk
+SCANNER_ALPHABET = (
+    ["t", "a", "b", "x_1", "_", "T9", "0", "1", "7", "42", "*", "+", "-", "^", " ", "\t", "\n"]
+    + ["\x1c", "\u2003", "\xa0", "\u0663", "\uff11", "\u00b2", "\u00e9", "!", "(", "/", ".", "\x00"]
+)
+
+
+def random_scanner_text(rng: random.Random, max_pieces: int = 12) -> str:
+    return "".join(rng.choice(SCANNER_ALPHABET) for _ in range(rng.randint(0, max_pieces)))

@@ -7,11 +7,14 @@ seeds so a failure is reproducible.
 
 import itertools
 import json
+import os
 import random
 import string
 import subprocess
 import sys
+from pathlib import Path
 
+import daxcalc
 from daxcalc import (
     ExplicitKernel,
     Factor,
@@ -223,12 +226,16 @@ def _malformed(rng: random.Random) -> str:
 def test_criterion_10_cli_determinism_and_robustness(tmp_path):
     session = tmp_path / "session.json"
     session.write_text(json.dumps(SESSION_DOC))
+    # the child imports the package this process imports, not an installed copy
+    src = str(Path(daxcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = set()
     for _ in range(3):
         result = subprocess.run(
             [sys.executable, "-m", "daxcalc", "run", str(session)],
             capture_output=True,
             check=True,
+            env=env,
         )
         outputs.add(result.stdout)
     assert len(outputs) == 1

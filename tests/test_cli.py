@@ -198,3 +198,30 @@ def test_invalid_disc_data_exit_code(tmp_path, capsys):
     code = main(["invariant", "--preset", "boundary_connect_sum", "--disc", str(bad)])
     assert code == 2
     assert "2-torsion" in capsys.readouterr().err
+
+
+DEEP_JSON = "[" * 1000 + "]" * 1000
+LONG_SIGN_DISC = '{"sr_discs": [{"sign": %s, "word": "t"}]}' % ("1" * 5000)
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["invariant", "--preset", "connect_sum", "--disc"], DEEP_JSON),
+        (["invariant", "--preset", "connect_sum", "--disc"], LONG_SIGN_DISC),
+        (["reduce", "--preset", "connect_sum", "--element", "7" * 4400 + "*t"], None),
+    ],
+    ids=["json-nested-1000-deep", "json-5000-digit-sign", "element-4400-digit-coefficient"],
+)
+def test_hostile_input_is_a_parse_error(tmp_path, capsys, argv, content):
+    if content is not None:
+        path = tmp_path / "hostile.json"
+        path.write_text(content)
+        argv = argv + [str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("parse error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

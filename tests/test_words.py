@@ -15,8 +15,15 @@ from daxcalc import (
     parse_ringexpr,
     parse_word,
 )
+from daxcalc.words import _tokenize
 
-from helpers import random_element, random_ring_element, random_spec
+from helpers import (
+    random_element,
+    random_ring_element,
+    random_scanner_text,
+    random_spec,
+    reference_tokenize,
+)
 
 SPEC = GroupSpec((Factor("t"), Factor("a", 2)))
 
@@ -169,3 +176,46 @@ def test_large_exponents():
     assert g == SPEC.generator("t") ** 123456789012345
     x = parse_ringexpr("999999999999*t", SPEC)
     assert x == monomial(SPEC.generator("t"), 999999999999)
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def _check_scanner(text):
+    """The scanner's tokens or error equal the reference's, plus an end token."""
+    expected = _scan(reference_tokenize, text)
+    tokens = _scan(_tokenize, text)
+    if isinstance(tokens, list):
+        kind, value, end = tokens.pop()
+        assert (kind, value) == ("end", None)
+        # the parsers report the end position only after an operator, where
+        # the reference parsers used one past that operator's position
+        if isinstance(expected, list) and expected and expected[-1][0] in "*+-^":
+            assert end == expected[-1][2] + 1
+    assert tokens == expected, text
+
+
+def test_scanner_matches_reference_tokenizer():
+    rng = random.Random(61)
+    for _ in range(6000):
+        _check_scanner(random_scanner_text(rng))
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=40))
+def test_scanner_matches_reference_tokenizer_hypothesis(text):
+    _check_scanner(text)
+
+
+@pytest.mark.parametrize(
+    "parser, text, position",
+    [(parse_word, "t^-" + "7" * 4400, 3), (parse_ringexpr, "t + " + "7" * 4400 + "*t", 4)],
+)
+def test_overlong_integer_literal_is_a_parse_error(parser, text, position):
+    with pytest.raises(ParseError) as excinfo:
+        parser(text, SPEC)
+    assert excinfo.value.position == position
