@@ -70,9 +70,9 @@ def _expect(value: Any, kind: type, path: str) -> Any:
 def _object(value: Any, path: str, required: set, optional: set = frozenset()) -> dict:
     """An object with every required key and no key outside required and optional."""
     data = _expect(value, dict, path)
-    for key in required:
-        if key not in data:
-            raise ValidationError(f"missing required key {key!r}", path)
+    missing = required - data.keys()
+    if missing:  # the smallest, so the message does not depend on hash order
+        raise ValidationError(f"missing required key {min(missing)!r}", path)
     for key in data:
         if key not in required and key not in optional:
             raise ValidationError(f"unknown key {key!r}", path)

@@ -10,10 +10,11 @@ known in general, and the calculator never overclaims.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .forms import ManifoldModel, SRData, normalize, validate_or_raise
-from .ring import RingElement, dax_sum, monomial
+from .ring import RingElement, dax_sum
 
 ISOTOPIC = "ISOTOPIC"
 NOT_ISOTOPIC = "NOT_ISOTOPIC"
@@ -30,12 +31,10 @@ class Verdict:
 def phi(data: SRData, manifold: ManifoldModel) -> RingElement:
     """Invariant value of a presentation, reduced modulo the manifold kernel."""
     validate_or_raise(data, manifold)
-    total = RingElement.zero(manifold.group)
-    for tube in data.double_tubes:
-        total = total + monomial(tube, 1)
+    total = Counter(data.double_tubes)
     for sign, g in data.sr_discs:
-        total = total + dax_sum(g, sign)
-    return manifold.kernel.reduce(total)
+        total.update(dict(dax_sum(g, sign).terms))
+    return manifold.kernel.reduce(RingElement.from_mapping(manifold.group, total))
 
 
 def compare(d1: SRData, d2: SRData, manifold: ManifoldModel) -> Verdict:

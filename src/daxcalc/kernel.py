@@ -14,6 +14,7 @@ do not follow the inverse-pair pattern are out of scope.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -42,11 +43,9 @@ class InversePairsKernel:
     """
 
     def reduce(self, x: RingElement) -> RingElement:
-        folded: dict = {}
+        folded = Counter()
         for g, c in x.items():
-            inv = ~g
-            rep = inv if canonical_key(inv) < canonical_key(g) else g
-            folded[rep] = folded.get(rep, 0) + c
+            folded[min(g, ~g, key=canonical_key)] += c
         return RingElement.from_mapping(x.spec, folded)
 
     def describe(self) -> str:

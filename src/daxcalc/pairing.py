@@ -10,11 +10,12 @@ entries are rejected outright instead of filtered.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
 from .groups import GroupElement, GroupSpec
-from .ring import RingElement, monomial
+from .ring import RingElement
 
 
 class DaxValue(NamedTuple):
@@ -33,14 +34,14 @@ def _check_points(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -
 def dax_value(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> DaxValue:
     """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
     _check_points(points, spec)
-    total = RingElement.zero(spec)
+    total = Counter()
     dropped = 0
     for sign, loop in points:
         if loop.is_identity:
             dropped += 1
         else:
-            total = total + monomial(loop, sign)
-    return DaxValue(total, dropped)
+            total[loop] += sign
+    return DaxValue(RingElement.from_mapping(spec, total), dropped)
 
 
 def spin_composition_value(
@@ -51,11 +52,8 @@ def spin_composition_value(
     Trivial spin entries contribute nothing and are rejected to force the
     caller to be explicit.
     """
-    _check_points(spins, spec)
+    value = dax_value(spins, spec).value
     for i, (_, g) in enumerate(spins):
         if g.is_identity:
             raise ValidationError(f"spins[{i}]: spin element must be nontrivial")
-    total = RingElement.zero(spec)
-    for sign, g in spins:
-        total = total + monomial(g, sign)
-    return total
+    return value

@@ -3,11 +3,14 @@
 Values of the disc invariant live here: finitely supported sums c1*g1 + ... +
 ck*gk with integer coefficients and every gi a nontrivial group element.  The
 identity element is excluded from the support by construction.  Only the
-additive structure is provided; ring multiplication is never needed.
+additive structure is provided; ring multiplication is never needed.  A sum
+of many terms is collected in one dict and built once by from_mapping, so each
+value is validated once; `+` is for combining two values that already exist.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -43,12 +46,8 @@ class RingElement:
 
     @classmethod
     def from_mapping(cls, spec: GroupSpec, mapping: Mapping[GroupElement, int]) -> "RingElement":
-        terms = tuple(
-            (g, c)
-            for g, c in sorted(mapping.items(), key=lambda item: canonical_key(item[0]))
-            if c != 0
-        )
-        return cls(spec, terms)
+        items = sorted(mapping.items(), key=lambda item: canonical_key(item[0]))
+        return cls(spec, tuple((g, c) for g, c in items if c != 0))
 
     @property
     def is_zero(self) -> bool:
@@ -71,9 +70,8 @@ class RingElement:
             return NotImplemented
         if other.spec != self.spec:
             raise ValidationError("cannot add ring elements over different group specs")
-        combined = dict(self.terms)
-        for g, c in other.terms:
-            combined[g] = combined.get(g, 0) + c
+        combined = Counter(dict(self.terms))
+        combined.update(dict(other.terms))
         return RingElement.from_mapping(self.spec, combined)
 
     def __neg__(self) -> "RingElement":
@@ -90,7 +88,11 @@ class RingElement:
         parts: list[str] = []
         for g, c in self.terms:
             mag = abs(c)
-            body = str(g) if mag == 1 else f"{mag}*{g}"
+            try:
+                digits = str(mag)
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                raise ValidationError(f"coefficient of {mag.bit_length()} bits is too long to print") from None
+            body = str(g) if mag == 1 else f"{digits}*{g}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -100,20 +102,15 @@ class RingElement:
 
 def monomial(g: GroupElement, coeff: int) -> RingElement:
     """The single-term combination coeff*g; coeff 0 gives zero."""
-    if coeff == 0:
-        return RingElement.zero(g.spec)
-    if g.is_identity:
+    if coeff != 0 and g.is_identity:
         raise ValidationError("monomial requires a nontrivial group element")
-    return RingElement(g.spec, ((g, coeff),))
+    return RingElement.from_mapping(g.spec, {g: coeff})
 
 
 def dax_sum(g: GroupElement, sign: int) -> RingElement:
     """The signed pair sign*(g + g^-1); for 2-torsion g this is sign*2g."""
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
     if g.is_identity:
         raise ValidationError("dax_sum is undefined on the identity element")
-    inv = ~g
-    if inv == g:
-        return monomial(g, 2 * sign)
-    return monomial(g, sign) + monomial(inv, sign)
+    return RingElement.from_mapping(g.spec, {h: sign * n for h, n in Counter((g, ~g)).items()})

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from daxcalc import (
+    DaxValue,
     ExplicitKernel,
     Factor,
     GroupElement,
@@ -26,8 +27,10 @@ from daxcalc import (
     RingElement,
     SRData,
     TrivialKernel,
+    ValidationError,
     canonical_key,
 )
+from daxcalc.forms import validate_or_raise
 
 FACTOR_NAMES = ("a", "b", "c")
 
@@ -235,3 +238,81 @@ SCANNER_ALPHABET = (
 
 def random_scanner_text(rng: random.Random, max_pieces: int = 12) -> str:
     return "".join(rng.choice(SCANNER_ALPHABET) for _ in range(rng.randint(0, max_pieces)))
+
+
+# The per-term `total = total + ...` versions of phi, dax_sum, the pairing sums
+# and the inverse-pairs fold, and the direct-construction monomial, from before
+# each ring value was summed in one dict and built once; kept verbatim (only the
+# names changed, and the inverse-pairs method is a function) as references for
+# the differential tests.
+def reference_monomial(g: GroupElement, coeff: int) -> RingElement:
+    """The single-term combination coeff*g; coeff 0 gives zero."""
+    if coeff == 0:
+        return RingElement.zero(g.spec)
+    if g.is_identity:
+        raise ValidationError("monomial requires a nontrivial group element")
+    return RingElement(g.spec, ((g, coeff),))
+
+
+def reference_dax_sum(g: GroupElement, sign: int) -> RingElement:
+    """The signed pair sign*(g + g^-1); for 2-torsion g this is sign*2g."""
+    if sign not in (1, -1):
+        raise ValidationError(f"sign must be +1 or -1, got {sign}")
+    if g.is_identity:
+        raise ValidationError("dax_sum is undefined on the identity element")
+    inv = ~g
+    if inv == g:
+        return reference_monomial(g, 2 * sign)
+    return reference_monomial(g, sign) + reference_monomial(inv, sign)
+
+
+def reference_phi(data, manifold) -> RingElement:
+    """Invariant value of a presentation, reduced modulo the manifold kernel."""
+    validate_or_raise(data, manifold)
+    total = RingElement.zero(manifold.group)
+    for tube in data.double_tubes:
+        total = total + reference_monomial(tube, 1)
+    for sign, g in data.sr_discs:
+        total = total + reference_dax_sum(g, sign)
+    return manifold.kernel.reduce(total)
+
+
+def _reference_check_points(points, spec: GroupSpec) -> None:
+    for i, (sign, loop) in enumerate(points):
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
+        if loop.spec != spec:
+            raise ValidationError(f"points[{i}]: element is not over the given group spec")
+
+
+def reference_dax_value(points, spec: GroupSpec) -> DaxValue:
+    """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
+    _reference_check_points(points, spec)
+    total = RingElement.zero(spec)
+    dropped = 0
+    for sign, loop in points:
+        if loop.is_identity:
+            dropped += 1
+        else:
+            total = total + reference_monomial(loop, sign)
+    return DaxValue(total, dropped)
+
+
+def reference_spin_composition_value(spins, spec: GroupSpec) -> RingElement:
+    _reference_check_points(spins, spec)
+    for i, (_, g) in enumerate(spins):
+        if g.is_identity:
+            raise ValidationError(f"spins[{i}]: spin element must be nontrivial")
+    total = RingElement.zero(spec)
+    for sign, g in spins:
+        total = total + reference_monomial(g, sign)
+    return total
+
+
+def reference_inverse_pairs_reduce(x: RingElement) -> RingElement:
+    folded: dict = {}
+    for g, c in x.items():
+        inv = ~g
+        rep = inv if canonical_key(inv) < canonical_key(g) else g
+        folded[rep] = folded.get(rep, 0) + c
+    return RingElement.from_mapping(x.spec, folded)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import daxcalc
 from daxcalc.cli import main
 
 D1 = '{"double_tubes": [], "sr_discs": [{"sign": 1, "word": "t"}]}'
@@ -225,3 +230,32 @@ def test_hostile_input_is_a_parse_error(tmp_path, capsys, argv, content):
     assert captured.err.startswith("parse error:")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_overlong_computed_coefficient_is_a_validation_error(capsys):
+    # each literal is within the 4300-digit limit; their sum has 4301 digits
+    nines = "9" * 4300
+    for extra in ([], ["--json"]):
+        argv = ["reduce", "--preset", "boundary_connect_sum", "--element", f"{nines}*t + {nines}*t"]
+        code = main(argv + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "validation error: coefficient of 14286 bits is too long to print\n"
+
+
+def test_missing_key_message_does_not_depend_on_hash_seed(tmp_path):
+    # the point lacks both 'sign' and 'word'; the smallest missing key is named
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [{"preset": "inverse_pairs"}]}')
+    src = str(Path(daxcalc.__file__).resolve().parents[1])
+    errors = []
+    for seed in ("1", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "daxcalc", "pairing", "--preset", "connect_sum", str(points)]
+        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert result.returncode == 2
+        errors.append(result.stderr)
+    assert errors[0] == errors[1]
+    assert errors[0].endswith("points[0]: missing required key 'sign'\n")

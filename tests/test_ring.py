@@ -95,6 +95,12 @@ def test_dax_sum_errors():
         dax_sum(T, 2)
 
 
+def test_dax_sum_rejects_bool_sign():
+    # True == 1, but a bool sign is rejected as in forms.validate and dax_value
+    with pytest.raises(ValidationError, match="sign must be \\+1 or -1, got True"):
+        dax_sum(T, True)
+
+
 def test_dax_sum_inverse_symmetry():
     assert dax_sum(~T, 1) == dax_sum(T, 1)
     assert dax_sum(~(T * A), -1) == dax_sum(T * A, -1)
