@@ -68,15 +68,15 @@ def _emit(args: argparse.Namespace, payload, lines: list[str]) -> None:
 def _queries(args: argparse.Namespace, manifold: ManifoldModel) -> list[tuple[Query, list[str]]]:
     """The session queries a subcommand asks, each with the disc files it reads."""
     if args.command == "compare":
-        return [(Query("compare", discs=(args.disc1, args.disc2)), [args.disc1, args.disc2])]
+        return [(Query("compare", (args.disc1, args.disc2)), [args.disc1, args.disc2])]
     if args.command == "reduce":
-        return [(Query("reduce", element=parse_ringexpr(args.element, manifold.group)), [])]
+        return [(Query("reduce", parse_ringexpr(args.element, manifold.group)), [])]
     if args.command == "pairing":
         points = point_document_from_json(
             load_json(_read_file(args.points)), manifold.group, args.points
         )
-        return [(Query("pairing", points=points), [])]
-    return [(Query(args.command, disc=path), [path]) for path in args.disc]
+        return [(Query("pairing", points), [])]
+    return [(Query(args.command, path), [path]) for path in args.disc]
 
 
 def _cmd_query(args: argparse.Namespace) -> None:
@@ -114,15 +114,26 @@ def _cmd_run(args: argparse.Namespace) -> None:
     _emit(args, results, render_text(results))
 
 
-def _add_manifold_options(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=PRESET_IDS, help="built-in manifold id")
-    group.add_argument("--manifold", metavar="FILE", help="manifold JSON file")
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     sub.add_argument("--verbose", action="store_true", help="context notes on stderr")
+
+
+_DISC_FILES = ("--disc", dict(metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)"))
+
+# (name, help, arguments) of each subcommand that evaluates queries on a manifold
+_QUERY_COMMANDS = (
+    ("invariant", "invariant value of disc data", [_DISC_FILES]),
+    ("compare", "decide (non-)isotopy of two discs", [
+        ("disc1", dict(metavar="DISC1", help="first disc JSON file")),
+        ("disc2", dict(metavar="DISC2", help="second disc JSON file")),
+    ]),
+    ("reduce", "reduce a ring expression modulo the kernel", [
+        ("--element", dict(metavar="RINGEXPR", required=True, help="ring expression to reduce")),
+    ]),
+    ("normalize", "normal form of disc data", [_DISC_FILES]),
+    ("pairing", "signed sum over a double-point list", [("points", dict(metavar="POINTS", help="double-point list JSON file"))]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,36 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("invariant", help="invariant value of disc data")
-    _add_manifold_options(p)
-    p.add_argument("--disc", metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("compare", help="decide (non-)isotopy of two discs")
-    _add_manifold_options(p)
-    p.add_argument("disc1", metavar="DISC1", help="first disc JSON file")
-    p.add_argument("disc2", metavar="DISC2", help="second disc JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("reduce", help="reduce a ring expression modulo the kernel")
-    _add_manifold_options(p)
-    p.add_argument("--element", metavar="RINGEXPR", required=True, help="ring expression to reduce")
-    _add_common(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("normalize", help="normal form of disc data")
-    _add_manifold_options(p)
-    p.add_argument("--disc", metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("pairing", help="signed sum over a double-point list")
-    _add_manifold_options(p)
-    p.add_argument("points", metavar="POINTS", help="double-point list JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_query)
+    for name, help_text, arguments in _QUERY_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", choices=PRESET_IDS, help="built-in manifold id")
+        group.add_argument("--manifold", metavar="FILE", help="manifold JSON file")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        _add_common(p)
+        p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("presets", help="list built-in manifolds")
     _add_common(p)

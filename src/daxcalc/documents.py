@@ -218,13 +218,10 @@ def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") ->
 
 @dataclass(frozen=True)
 class Query:
-    """One session query; exactly the fields for its kind are set."""
+    """One session query: its kind and the decoded value of that kind's one field."""
 
     kind: str
-    disc: str | None = None
-    discs: tuple[str, str] | None = None
-    element: RingElement | None = None
-    points: PointList | None = None
+    value: str | tuple[str, str] | RingElement | PointList  # disc, discs, element or points
 
 
 @dataclass(frozen=True)
@@ -246,20 +243,19 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Qu
 
     if kind in ("invariant", "normalize"):
         _object(data, path, {"kind", "disc"})
-        return Query(kind, disc=disc_name(data["disc"], f"{path}.disc"))
+        return Query(kind, disc_name(data["disc"], f"{path}.disc"))
     if kind == "compare":
         _object(data, path, {"kind", "discs"})
         pair = _expect(data["discs"], list, f"{path}.discs")
         if len(pair) != 2:
             raise ValidationError("compare takes exactly two disc names", f"{path}.discs")
-        names = tuple(disc_name(n, f"{path}.discs[{i}]") for i, n in enumerate(pair))
-        return Query(kind, discs=names)
+        return Query(kind, tuple(disc_name(n, f"{path}.discs[{i}]") for i, n in enumerate(pair)))
     if kind == "reduce":
         _object(data, path, {"kind", "element"})
-        return Query(kind, element=_field(parse_ringexpr, data["element"], spec, f"{path}.element"))
+        return Query(kind, _field(parse_ringexpr, data["element"], spec, f"{path}.element"))
     if kind == "pairing":
         _object(data, path, {"kind", "points"})
-        return Query(kind, points=points_from_json(data["points"], spec, f"{path}.points"))
+        return Query(kind, points_from_json(data["points"], spec, f"{path}.points"))
     raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
 
 
@@ -287,10 +283,10 @@ def execute(doc: SessionDocument) -> list[dict]:
     results = []
     for query in doc.queries:
         if query.kind == "invariant":
-            value = phi(doc.discs[query.disc], doc.manifold)
-            results.append({"kind": "invariant", "disc": query.disc, "value": str(value)})
+            value = phi(doc.discs[query.value], doc.manifold)
+            results.append({"kind": "invariant", "disc": query.value, "value": str(value)})
         elif query.kind == "compare":
-            a, b = query.discs
+            a, b = query.value
             verdict = compare(doc.discs[a], doc.discs[b], doc.manifold)
             results.append(
                 {
@@ -302,12 +298,12 @@ def execute(doc: SessionDocument) -> list[dict]:
                 }
             )
         elif query.kind == "reduce":
-            results.append({"kind": "reduce", "value": str(doc.manifold.kernel.reduce(query.element))})
+            results.append({"kind": "reduce", "value": str(doc.manifold.kernel.reduce(query.value))})
         elif query.kind == "normalize":
-            normed = normalize(doc.discs[query.disc], doc.manifold)
-            results.append({"kind": "normalize", "disc": query.disc, "value": disc_to_json(normed)})
+            normed = normalize(doc.discs[query.value], doc.manifold)
+            results.append({"kind": "normalize", "disc": query.value, "value": disc_to_json(normed)})
         else:
-            value = dax_value(query.points, doc.manifold.group)
+            value = dax_value(query.value, doc.manifold.group)
             results.append({"kind": "pairing", "value": str(value.value), "dropped": value.dropped})
     return results
 

@@ -146,9 +146,12 @@ class GroupElement:
         if self.is_identity:
             return "1"
         parts = []
-        for index, exp in self.syllables:
-            name = self.spec.factors[index].name
-            parts.append(name if exp == 1 else f"{name}^{exp}")
+        try:
+            for index, exp in self.syllables:
+                name = self.spec.factors[index].name
+                parts.append(name if exp == 1 else f"{name}^{exp}")
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise ValidationError(f"exponent of {abs(exp).bit_length()} bits is too long to print") from None
         return "*".join(parts)
 
     def __lt__(self, other: "GroupElement") -> bool:

@@ -7,9 +7,10 @@ canonical coset representative so that equality in the quotient becomes
 syntactic equality of reduced values.
 
 Explicit generator lists are reduced through a Hermite normal form of the
-generator matrix over the finite support involved; coordinates at pivot
-positions are brought into the box [0, pivot).  Infinite kernel families that
-do not follow the inverse-pair pattern are out of scope.
+generator matrix over the generators' support; coordinates at pivot
+positions are brought into the box [0, pivot), and terms off that support
+pass through unchanged.  Infinite kernel families that do not follow the
+inverse-pair pattern are out of scope.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ValidationError
-from .groups import GroupSpec, canonical_key
+from .groups import canonical_key
 from .ring import RingElement
 
 
@@ -73,29 +74,24 @@ class ExplicitKernel:
         # __post_init__ guarantees that all generators share one spec
         if self.generators[0].spec != x.spec:
             raise ValidationError("kernel generators use a different group spec")
-        support = {g for g, _ in x.items()}
-        for gen in self.generators:
-            support.update(gen.support())
-        basis = sorted(support, key=canonical_key)
+        basis = sorted({g for gen in self.generators for g in gen.support()}, key=canonical_key)
         index = {g: i for i, g in enumerate(basis)}
-        rows = []
-        for gen in self.generators:
-            row = [0] * len(basis)
+        rows = [[0] * len(basis) for _ in self.generators]
+        for row, gen in zip(rows, self.generators):
             for g, c in gen.items():
                 row[index[g]] = c
-            rows.append(row)
         hnf, pivots = hermite_normal_form(rows)
+        # every generator row is zero off the basis, so x's other terms stay as they are
+        terms = dict(x.items())
         vec = [0] * len(basis)
-        for g, c in x.items():
-            vec[index[g]] = c
+        for g in terms.keys() & index.keys():
+            vec[index[g]] = terms.pop(g)
         for ri, ci in pivots:
-            pivot = hnf[ri][ci]
-            q = vec[ci] // pivot
+            q = vec[ci] // hnf[ri][ci]
             if q:
                 vec = [a - q * b for a, b in zip(vec, hnf[ri])]
-        return RingElement.from_mapping(
-            x.spec, {basis[i]: c for i, c in enumerate(vec) if c != 0}
-        )
+        terms.update((basis[i], c) for i, c in enumerate(vec) if c)
+        return RingElement.from_mapping(x.spec, terms)
 
     def describe(self) -> str:
         return f"explicit ({len(self.generators)} generators)"
@@ -116,19 +112,16 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(n_cols):
-        # Euclidean elimination below row r until at most one nonzero remains.
-        while True:
-            live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if len(live) <= 1:
-                break
+        # Euclidean elimination below row r until at most one nonzero remains;
+        # a row that is zero in column c stays zero, so live only narrows.
+        live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+        while len(live) > 1:
             i0 = min(live, key=lambda i: abs(mat[i][c]))
             for i in live:
-                if i == i0:
-                    continue
-                q = mat[i][c] // mat[i0][c]
-                if q:
+                if i != i0:  # |mat[i][c]| >= |mat[i0][c]|, so the quotient is nonzero
+                    q = mat[i][c] // mat[i0][c]
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-        live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+            live = [i for i in live if mat[i][c] != 0]
         if not live:
             continue
         i0 = live[0]

@@ -316,3 +316,79 @@ def reference_inverse_pairs_reduce(x: RingElement) -> RingElement:
         rep = inv if canonical_key(inv) < canonical_key(g) else g
         folded[rep] = folded.get(rep, 0) + c
     return RingElement.from_mapping(x.spec, folded)
+
+
+# ExplicitKernel.reduce and hermite_normal_form from before the lattice basis
+# was taken over the generators' support alone: the basis here also spans x's
+# support, and the elimination rescans rows r.. on every round.  Kept verbatim
+# (only the names changed, and the method is a function of the generators) as
+# references for the differential tests.
+def reference_explicit_reduce(generators: tuple[RingElement, ...], x: RingElement) -> RingElement:
+    if not generators:
+        return x
+    # __post_init__ guarantees that all generators share one spec
+    if generators[0].spec != x.spec:
+        raise ValidationError("kernel generators use a different group spec")
+    support = {g for g, _ in x.items()}
+    for gen in generators:
+        support.update(gen.support())
+    basis = sorted(support, key=canonical_key)
+    index = {g: i for i, g in enumerate(basis)}
+    rows = []
+    for gen in generators:
+        row = [0] * len(basis)
+        for g, c in gen.items():
+            row[index[g]] = c
+        rows.append(row)
+    hnf, pivots = reference_hermite_normal_form(rows)
+    vec = [0] * len(basis)
+    for g, c in x.items():
+        vec[index[g]] = c
+    for ri, ci in pivots:
+        pivot = hnf[ri][ci]
+        q = vec[ci] // pivot
+        if q:
+            vec = [a - q * b for a, b in zip(vec, hnf[ri])]
+    return RingElement.from_mapping(
+        x.spec, {basis[i]: c for i, c in enumerate(vec) if c != 0}
+    )
+
+
+def reference_hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Row-style HNF over the integers.
+
+    Returns the reduced nonzero rows together with their (row, column) pivot
+    positions.  Pivots are positive, strictly ordered by column, entries above
+    a pivot lie in [0, pivot), and the rows span the same lattice as the input.
+    """
+    mat = [list(row) for row in rows]
+    n_cols = len(mat[0]) if mat else 0
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(n_cols):
+        # Euclidean elimination below row r until at most one nonzero remains.
+        while True:
+            live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+            if len(live) <= 1:
+                break
+            i0 = min(live, key=lambda i: abs(mat[i][c]))
+            for i in live:
+                if i == i0:
+                    continue
+                q = mat[i][c] // mat[i0][c]
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
+        live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
+        if not live:
+            continue
+        i0 = live[0]
+        mat[r], mat[i0] = mat[i0], mat[r]
+        if mat[r][c] < 0:
+            mat[r] = [-a for a in mat[r]]
+        for i in range(r):
+            q = mat[i][c] // mat[r][c]
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+        pivots.append((r, c))
+        r += 1
+    return mat[:r], pivots

@@ -244,6 +244,31 @@ def test_overlong_computed_coefficient_is_a_validation_error(capsys):
         assert captured.err == "validation error: coefficient of 14286 bits is too long to print\n"
 
 
+# each exponent literal is within the 4300-digit limit; the product's exponent is not
+LONG_EXPONENT_WORD = "t^{0}*t^{0}".format("9" * 4300)
+BCS = ["--preset", "boundary_connect_sum"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", *BCS, "--element", LONG_EXPONENT_WORD],
+        ["reduce", *BCS, "--element", LONG_EXPONENT_WORD, "--json"],
+        ["invariant", *BCS, "--disc", "long.json"],
+        ["normalize", *BCS, "--disc", "long.json"],
+        ["compare", *BCS, "long.json", "long.json"],
+    ],
+    ids=["reduce", "reduce-json", "invariant", "normalize", "compare-same-file"],
+)
+def test_overlong_computed_exponent_is_a_validation_error(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "long.json").write_text(json.dumps({"sr_discs": [{"sign": 1, "word": LONG_EXPONENT_WORD}]}))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "validation error: exponent of 14286 bits is too long to print\n"
+
+
 def test_missing_key_message_does_not_depend_on_hash_seed(tmp_path):
     # the point lacks both 'sign' and 'word'; the smallest missing key is named
     points = tmp_path / "points.json"

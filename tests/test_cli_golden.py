@@ -7,7 +7,10 @@ the expected (exit code, stdout, stderr) of each case.  It covers every
 subcommand in plain, --json, --verbose and --json --verbose modes, and parse,
 validation and missing-file errors with and without --verbose.  The
 "ordering" cases pin which error wins when several --disc files are bad: each
-file is decoded and evaluated before the next one is read.
+file is decoded and evaluated before the next one is read.  The "help" and
+"usage" cases pin the parser itself: --help at the top level and for every
+subcommand, and argparse usage errors, with COLUMNS=80 so line wrapping does
+not depend on the terminal.
 """
 
 import json
@@ -122,11 +125,28 @@ ERRORS = {
     "run_missing": ["run", "nope.json"],
 }
 
+SUBCOMMANDS = ("invariant", "compare", "reduce", "normalize", "pairing", "presets", "run")
+
+SURFACE = {
+    "help": ["--help"],
+    **{f"help_{name}": [name, "--help"] for name in SUBCOMMANDS},
+    "usage_no_subcommand": [],
+    "usage_no_manifold": ["invariant", "--disc", "d1.json"],
+    "usage_preset_and_manifold": ["reduce", *BCS, *EXPLICIT, "--element", "t"],
+    "usage_unknown_preset": ["compare", "--preset", "nowhere", "d1.json", "d0.json"],
+    "usage_no_disc": ["normalize", *BCS],
+    "usage_no_second_disc": ["compare", *BCS, "d1.json"],
+    "usage_no_element": ["reduce", *BCS],
+    "usage_no_points": ["pairing", *BCS],
+    "usage_no_session": ["run"],
+}
+
 MODES = {"plain": [], "json": ["--json"], "verbose": ["--verbose"], "json_verbose": ["--json", "--verbose"]}
 ERROR_MODES = ("plain", "verbose")
 
 CASES = {f"{name}-{mode}": argv + flags for name, argv in COMMANDS.items() for mode, flags in MODES.items()}
 CASES.update({f"{name}-{mode}": argv + MODES[mode] for name, argv in ERRORS.items() for mode in ERROR_MODES})
+CASES.update(SURFACE)
 
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
 
@@ -151,6 +171,7 @@ def test_golden_covers_every_case(golden):
 def test_cli_matches_golden(name, golden, tmp_path, monkeypatch, capsys):
     write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
     code = main(CASES[name])
     captured = capsys.readouterr()
     expected = golden[name]
