@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .forms import ManifoldModel, SRData, normalize, validate_or_raise
-from .ring import RingElement, dax_sum
+from .ring import RingElement
 
 ISOTOPIC = "ISOTOPIC"
 NOT_ISOTOPIC = "NOT_ISOTOPIC"
@@ -32,8 +32,9 @@ def phi(data: SRData, manifold: ManifoldModel) -> RingElement:
     """Invariant value of a presentation, reduced modulo the manifold kernel."""
     validate_or_raise(data, manifold)
     total = Counter(data.double_tubes)
-    for sign, g in data.sr_discs:
-        total.update(dict(dax_sum(g, sign).terms))
+    for sign, g in data.sr_discs:  # sign*(g + g^-1); 2-torsion g gets 2*sign
+        total[g] += sign
+        total[~g] += sign
     return manifold.kernel.reduce(RingElement.from_mapping(manifold.group, total))
 
 

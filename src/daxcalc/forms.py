@@ -65,14 +65,14 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     """Check the raw-data constraints; returns one message per violation."""
     problems: list[str] = []
     for i, tube in enumerate(data.double_tubes):
-        if tube.spec != manifold.group:
+        if not isinstance(tube, GroupElement) or tube.spec != manifold.group:
             problems.append(f"double_tubes[{i}]: element is not over the manifold group")
         elif tube.is_identity:
             problems.append(f"double_tubes[{i}]: element is trivial")
         elif not tube.is_two_torsion():
             problems.append(f"double_tubes[{i}]: element is not 2-torsion")
     for j, (sign, g) in enumerate(data.sr_discs):
-        if isinstance(sign, bool) or sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             problems.append(f"sr_discs[{j}]: sign must be +1 or -1, got {sign}")
         if not isinstance(g, GroupElement) or g.spec != manifold.group:
             problems.append(f"sr_discs[{j}]: element is not over the manifold group")
@@ -101,9 +101,7 @@ def normalize(data: SRData, manifold: ManifoldModel) -> SRData:
     validate_or_raise(data, manifold)
     tube_counts = Counter(data.double_tubes)
     tubes = [t for t, count in tube_counts.items() if count % 2 == 1]
-    net = Counter()
-    for t, count in tube_counts.items():
-        net[t] += count // 2
+    net = Counter({t: count // 2 for t, count in tube_counts.items()})
     for sign, g in data.sr_discs:
         net[g] += sign
     discs: list[tuple[int, GroupElement]] = []

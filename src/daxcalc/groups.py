@@ -11,7 +11,7 @@ empty product).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import ValidationError
@@ -95,7 +95,7 @@ class GroupSpec:
 class GroupElement:
     """A reduced word over a GroupSpec; the empty word is the identity."""
 
-    spec: GroupSpec
+    spec: GroupSpec = field(hash=False)  # compared by ==, left out of the hash
     syllables: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -124,7 +124,8 @@ class GroupElement:
         return GroupElement(self.spec, tuple(stack))
 
     def __invert__(self) -> "GroupElement":
-        return self.spec.element((index, -exp) for index, exp in reversed(self.syllables))
+        normalize = self.spec._normalize_exponent  # a reversed reduced word needs no merges
+        return GroupElement(self.spec, tuple((i, normalize(i, -exp)) for i, exp in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "GroupElement":
         base = ~self if n < 0 else self

@@ -25,9 +25,9 @@ class DaxValue(NamedTuple):
 
 def _check_points(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> None:
     for i, (sign, loop) in enumerate(points):
-        if isinstance(sign, bool) or sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):
             raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
-        if loop.spec != spec:
+        if not isinstance(loop, GroupElement) or loop.spec != spec:
             raise ValidationError(f"points[{i}]: element is not over the given group spec")
 
 

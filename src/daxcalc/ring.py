@@ -109,7 +109,7 @@ def monomial(g: GroupElement, coeff: int) -> RingElement:
 
 def dax_sum(g: GroupElement, sign: int) -> RingElement:
     """The signed pair sign*(g + g^-1); for 2-torsion g this is sign*2g."""
-    if isinstance(sign, bool) or sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
     if g.is_identity:
         raise ValidationError("dax_sum is undefined on the identity element")

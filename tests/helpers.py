@@ -240,6 +240,14 @@ def random_scanner_text(rng: random.Random, max_pieces: int = 12) -> str:
     return "".join(rng.choice(SCANNER_ALPHABET) for _ in range(rng.randint(0, max_pieces)))
 
 
+# GroupElement.__invert__ from before it built the inverse directly: it sends
+# the reversed, negated syllables back through GroupSpec.element's merges.  Kept
+# verbatim (only the name changed, and the method is a function) as the
+# reference for the differential test.
+def reference_invert(g: GroupElement) -> GroupElement:
+    return g.spec.element((index, -exp) for index, exp in reversed(g.syllables))
+
+
 # The per-term `total = total + ...` versions of phi, dax_sum, the pairing sums
 # and the inverse-pairs fold, and the direct-construction monomial, from before
 # each ring value was summed in one dict and built once; kept verbatim (only the

@@ -152,6 +152,13 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in captured.err
 
 
+def test_missing_operator_between_terms_is_a_parse_error(capsys):
+    code = main(["reduce", "--preset", "boundary_connect_sum", "--element", "t u"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "parse error: expected '+' or '-' between terms (at position 2)\n"
+
+
 def test_validation_error_exit_code(capsys):
     code = main(["reduce", "--preset", "connect_sum", "--element", "1"])
     captured = capsys.readouterr()

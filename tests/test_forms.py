@@ -50,6 +50,22 @@ def test_validate_rejects_boolean_sign():
     assert problems == ["sr_discs[0]: sign must be +1 or -1, got True"]
 
 
+def test_validate_rejects_float_sign():
+    data = SRData((), ((1.0, T), (1.0, T)))
+    assert validate(data, M) == [
+        "sr_discs[0]: sign must be +1 or -1, got 1.0",
+        "sr_discs[1]: sign must be +1 or -1, got 1.0",
+    ]
+    for evaluate in (phi, normalize):
+        with pytest.raises(ValidationError, match="got 1.0"):
+            evaluate(data, M)
+
+
+def test_validate_rejects_a_tube_that_is_not_an_element():
+    problems = validate(SRData(("t",), ()), M)
+    assert problems == ["double_tubes[0]: element is not over the manifold group"]
+
+
 def test_validate_foreign_elements():
     other = GroupSpec((Factor("t"),))
     data = SRData((), ((1, other.generator("t")),))

@@ -11,7 +11,7 @@ from daxcalc import (
     compare_canonical,
 )
 
-from helpers import random_element, random_spec
+from helpers import random_element, random_spec, random_two_torsion, reference_invert
 
 FREE = GroupSpec((Factor("t"),))
 MIXED = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 3)))
@@ -69,6 +69,8 @@ def test_reduced_form_enforced():
     with pytest.raises(ValidationError):
         # exponent out of range for the order-2 factor
         GroupElement(MIXED, ((1, 5),))
+    with pytest.raises(ValidationError, match="factor index 5 out of range"):
+        GroupElement(MIXED, ((5, 1),))
 
 
 def test_multiplication_and_inverse():
@@ -79,6 +81,65 @@ def test_multiplication_and_inverse():
     g = MIXED.element([("t", 1), ("a", 1)])
     assert str(~g) == "a*t^-1"
     assert (g * ~g).is_identity
+
+
+def test_invert_matches_the_reducing_reference():
+    rng = random.Random(46)
+    orders, identities, two_torsion = set(), 0, 0
+    for _ in range(3000):
+        spec = random_spec(rng)
+        orders.update(f.order for f in spec.factors)
+        g = random_two_torsion(rng, spec) if rng.random() < 0.2 else None
+        g = g or random_element(rng, spec, max_syllables=6)
+        identities += g.is_identity
+        two_torsion += g.is_two_torsion()
+        inverse, expected = ~g, reference_invert(g)
+        assert inverse == expected
+        assert inverse.syllables == expected.syllables
+        assert (g * inverse).is_identity
+    assert orders == {None, 2, 3, 4}
+    assert identities and two_torsion
+
+
+def test_invert_does_not_re_reduce(monkeypatch):
+    g = MIXED.element([("t", 2), ("b", 1), ("a", 1), ("t", -1)])
+    expected = reference_invert(g)
+
+    def element(self, syllables):
+        raise AssertionError("GroupSpec.element called")
+
+    monkeypatch.setattr(GroupSpec, "element", element)
+    assert ~g == expected
+
+
+def test_equal_words_over_equal_specs_are_equal_and_hash_equal():
+    twin = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 3)))
+    assert twin is not MIXED and twin == MIXED
+    g = MIXED.element([("t", 1), ("a", 1)])
+    h = twin.element([("t", 1), ("a", 1)])
+    assert g == h
+    assert hash(g) == hash(h)
+
+
+def test_equal_syllables_over_different_specs_are_distinct_keys():
+    f, m = FREE.generator("t"), MIXED.generator("t")
+    assert f.syllables == m.syllables
+    assert f != m
+    keys = {f: 1, m: 2}
+    assert len(keys) == 2 and keys[f] == 1 and keys[m] == 2
+
+
+def test_hash_does_not_hash_the_spec(monkeypatch):
+    g = MIXED.element([("t", 1), ("a", 1)])
+    same = MIXED.element([("t", 1), ("a", 1)])
+
+    def spec_hash(self):
+        raise AssertionError("GroupSpec.__hash__ called")
+
+    monkeypatch.setattr(GroupSpec, "__hash__", spec_hash)
+    assert hash(g) == hash(same)
+    assert {g: 1}[same] == 1
+    assert len({FREE.generator("t"): 1, MIXED.generator("t"): 2}) == 2
 
 
 def test_mixed_spec_multiplication_rejected():

@@ -44,6 +44,16 @@ def test_dax_value_validation():
         dax_value([(1, other.generator("t"))], SPEC)
 
 
+def test_dax_value_rejects_float_sign():
+    with pytest.raises(ValidationError, match="points\\[0\\]: sign must be \\+1 or -1, got 1.0"):
+        dax_value([(1.0, T)], SPEC)
+
+
+def test_dax_value_rejects_a_loop_that_is_not_an_element():
+    with pytest.raises(ValidationError, match="points\\[0\\]: element is not over the given group spec"):
+        dax_value(((1, "t"),), SPEC)
+
+
 def test_dax_value_additive_under_concatenation():
     rng = random.Random(31)
     for _ in range(200):

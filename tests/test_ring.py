@@ -58,6 +58,9 @@ def test_term_storage_validation():
         RingElement(SPEC, ((~T, 1), (T, 1)))
     with pytest.raises(ValidationError):
         RingElement(SPEC, ((T, 1), (T, 2)))
+    other = GroupSpec((Factor("t"),))
+    with pytest.raises(ValidationError, match="term element belongs to a different group spec"):
+        RingElement(SPEC, ((other.generator("t"), 1),))
 
 
 @pytest.mark.parametrize(
@@ -99,6 +102,12 @@ def test_dax_sum_rejects_bool_sign():
     # True == 1, but a bool sign is rejected as in forms.validate and dax_value
     with pytest.raises(ValidationError, match="sign must be \\+1 or -1, got True"):
         dax_sum(T, True)
+
+
+def test_dax_sum_rejects_float_sign():
+    # 1.0 == 1, but a float sign would turn every coefficient into a float
+    with pytest.raises(ValidationError, match="sign must be \\+1 or -1, got 1.0"):
+        dax_sum(T, 1.0)
 
 
 def test_dax_sum_inverse_symmetry():

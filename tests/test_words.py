@@ -111,6 +111,12 @@ def test_parse_ringexpr_errors(text):
         parse_ringexpr(text, SPEC)
 
 
+def test_parse_ringexpr_requires_an_operator_between_terms():
+    with pytest.raises(ParseError, match="expected '\\+' or '-' between terms") as excinfo:
+        parse_ringexpr("t u", SPEC)
+    assert excinfo.value.position == 2
+
+
 def test_parse_ringexpr_unknown_name_position():
     with pytest.raises(ParseError) as excinfo:
         parse_ringexpr("t + 2*q", SPEC)
