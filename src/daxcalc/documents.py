@@ -53,11 +53,6 @@ def load_json(text: str) -> Any:
         raise ParseError("invalid JSON: integer literal too long") from None
 
 
-def dump_json(value: Any) -> str:
-    """Canonical one-line rendering used for all document output."""
-    return json.dumps(value, separators=(", ", ": "), sort_keys=False)
-
-
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
@@ -161,10 +156,9 @@ def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> Ker
 
 
 def kernel_to_json(kernel: KernelSpec) -> dict:
-    for name, preset in _KERNEL_PRESETS.items():
-        if isinstance(kernel, preset):
-            return {"preset": name}
-    return {"generators": [str(g) for g in kernel.generators]}
+    if isinstance(kernel, ExplicitKernel):
+        return {"generators": [str(g) for g in kernel.generators]}
+    return {"preset": kernel.describe()}
 
 
 def manifold_from_json(obj: Any, path: str = "manifold") -> ManifoldModel:
@@ -315,7 +309,7 @@ def render_text(results: list[dict]) -> list[str]:
         if result["kind"] == "compare":
             lines.append(f"{result['outcome']}  certificate: {result['certificate']}")
         elif result["kind"] == "normalize":
-            lines.append(dump_json(result["value"]))
+            lines.append(json.dumps(result["value"]))
         else:
             lines.append(str(result["value"]))
     return lines

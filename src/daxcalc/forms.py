@@ -50,12 +50,9 @@ class ManifoldModel:
     label: str = ""
 
     def __post_init__(self):
-        if isinstance(self.kernel, ExplicitKernel):
-            for i, gen in enumerate(self.kernel.generators):
-                if gen.spec != self.group:
-                    raise ValidationError(
-                        f"kernel generators[{i}] is not over the manifold group"
-                    )
+        gens = self.kernel.generators if isinstance(self.kernel, ExplicitKernel) else ()
+        if gens and gens[0].spec != self.group:  # ExplicitKernel holds all to one spec
+            raise ValidationError("kernel generators[0] is not over the manifold group")
 
     def describe(self) -> str:
         return f"group: {self.group}  kernel: {self.kernel.describe()}"
@@ -89,9 +86,10 @@ def validate_or_raise(data: SRData, manifold: ManifoldModel) -> None:
 
 def concat(d1: SRData, d2: SRData) -> SRData:
     """List concatenation of the two presentations; no moves applied."""
-    specs = {g.spec for g in d1.double_tubes + d2.double_tubes}
-    specs.update(g.spec for _, g in d1.sr_discs + d2.sr_discs)
-    if len(specs) > 1:
+    elements = d1.double_tubes + d2.double_tubes + tuple(g for _, g in d1.sr_discs + d2.sr_discs)
+    if not all(isinstance(g, GroupElement) for g in elements):
+        raise ValidationError("cannot concatenate disc data with entries that are not group elements")
+    if len({g.spec for g in elements}) > 1:
         raise ValidationError("cannot concatenate disc data over different manifolds")
     return SRData(d1.double_tubes + d2.double_tubes, d1.sr_discs + d2.sr_discs)
 
@@ -105,11 +103,10 @@ def normalize(data: SRData, manifold: ManifoldModel) -> SRData:
     for sign, g in data.sr_discs:
         net[g] += sign
     discs: list[tuple[int, GroupElement]] = []
-    for g, total in net.items():
-        if total:
-            discs.extend([(1 if total > 0 else -1, g)] * abs(total))
+    for g in sorted((g for g, total in net.items() if total), key=canonical_key):
+        total = net[g]
+        discs.extend([(1 if total > 0 else -1, g)] * abs(total))
     tubes.sort(key=canonical_key)
-    discs.sort(key=lambda item: (canonical_key(item[1]), -item[0]))
     return SRData(tuple(tubes), tuple(discs))
 
 

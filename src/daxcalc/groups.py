@@ -29,6 +29,8 @@ class Factor:
     def __post_init__(self):
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise ValidationError(f"invalid factor name {self.name!r}")
+        if self.order is not None and type(self.order) is not int:
+            raise ValidationError(f"finite factor {self.name!r} must have an integer order, got {self.order!r}")
         if self.order is not None and self.order < 2:
             raise ValidationError(
                 f"finite factor {self.name!r} must have order >= 2, got {self.order}"
@@ -65,11 +67,7 @@ class GroupSpec:
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
         """Build the reduced word with the given syllables, merging as needed."""
-        stack: list[tuple[int, int]] = []
-        for ref, exp in syllables:
-            idx = ref if isinstance(ref, int) else self.index_of(ref)
-            self._push(stack, idx, exp)
-        return GroupElement(self, tuple(stack))
+        return self._merge([], ((ref if isinstance(ref, int) else self.index_of(ref), exp) for ref, exp in syllables))
 
     def _normalize_exponent(self, index: int, exp: int) -> int:
         if not 0 <= index < len(self.factors):
@@ -77,12 +75,15 @@ class GroupSpec:
         order = self.factors[index].order
         return exp % order if order is not None else exp
 
-    def _push(self, stack: list[tuple[int, int]], index: int, exp: int) -> None:
-        if stack and stack[-1][0] == index:
-            exp += stack.pop()[1]
-        exp = self._normalize_exponent(index, exp)
-        if exp != 0:
-            stack.append((index, exp))
+    def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[int, int]]) -> "GroupElement":
+        """Push each syllable onto the reduced word in stack, merging as needed."""
+        for index, exp in syllables:
+            if stack and stack[-1][0] == index:
+                exp += stack.pop()[1]
+            exp = self._normalize_exponent(index, exp)
+            if exp != 0:
+                stack.append((index, exp))
+        return GroupElement(self, tuple(stack))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -102,9 +103,8 @@ class GroupElement:
         object.__setattr__(self, "syllables", tuple(tuple(s) for s in self.syllables))
         prev = None
         for index, exp in self.syllables:
-            exp_norm = self.spec._normalize_exponent(index, exp)
-            if exp_norm == 0 or exp_norm != exp:
-                raise ValidationError(f"exponent {exp} not reduced for factor index {index}")
+            if type(exp) is not int or exp != self.spec._normalize_exponent(index, exp) or exp == 0:
+                raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
             if prev == index:
                 raise ValidationError("adjacent syllables must use distinct factors")
             prev = index
@@ -118,10 +118,7 @@ class GroupElement:
             return NotImplemented
         if other.spec != self.spec:
             raise ValidationError("cannot multiply elements over different group specs")
-        stack = list(self.syllables)
-        for index, exp in other.syllables:
-            self.spec._push(stack, index, exp)
-        return GroupElement(self.spec, tuple(stack))
+        return self.spec._merge(list(self.syllables), other.syllables)
 
     def __invert__(self) -> "GroupElement":
         normalize = self.spec._normalize_exponent  # a reversed reduced word needs no merges

@@ -9,7 +9,8 @@ syntactic equality of reduced values.
 Explicit generator lists are reduced through a Hermite normal form of the
 generator matrix over the generators' support; coordinates at pivot
 positions are brought into the box [0, pivot), and terms off that support
-pass through unchanged.  Infinite kernel families that do not follow the
+pass through unchanged.  The HNF's back-reduction and reduce share one pivot
+step, _reduce_by_pivots.  Infinite kernel families that do not follow the
 inverse-pair pattern are out of scope.
 """
 
@@ -86,10 +87,7 @@ class ExplicitKernel:
         vec = [0] * len(basis)
         for g in terms.keys() & index.keys():
             vec[index[g]] = terms.pop(g)
-        for ri, ci in pivots:
-            q = vec[ci] // hnf[ri][ci]
-            if q:
-                vec = [a - q * b for a, b in zip(vec, hnf[ri])]
+        vec = _reduce_by_pivots(vec, hnf, pivots)
         terms.update((basis[i], c) for i, c in enumerate(vec) if c)
         return RingElement.from_mapping(x.spec, terms)
 
@@ -109,6 +107,8 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
     """
     mat = [list(row) for row in rows]
     n_cols = len(mat[0]) if mat else 0
+    if any(len(row) != n_cols or not all(type(a) is int for a in row) for row in mat):
+        raise ValidationError(f"rows must be integer lists as long as rows[0] ({n_cols})")
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(n_cols):
@@ -128,13 +128,20 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
         mat[r], mat[i0] = mat[i0], mat[r]
         if mat[r][c] < 0:
             mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
         pivots.append((r, c))
         r += 1
+    for i in reversed(range(r)):  # bottom-up: each row is reduced by reduced rows
+        mat[i] = _reduce_by_pivots(mat[i], mat, pivots[i + 1:])
     return mat[:r], pivots
+
+
+def _reduce_by_pivots(vec: list[int], rows: list[list[int]], pivots: list[tuple[int, int]]) -> list[int]:
+    """Subtract echelon rows, in pivot order, until each pivot coordinate lies in [0, pivot)."""
+    for ri, ci in pivots:
+        q = vec[ci] // rows[ri][ci]
+        if q:
+            vec = [a - q * b for a, b in zip(vec, rows[ri])]
+    return vec
 
 
 def equal_mod_kernel(x: RingElement, y: RingElement, kernel: KernelSpec) -> bool:

@@ -29,12 +29,14 @@ class RingElement:
         object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
         keys = []
         for g, coeff in self.terms:
+            if not isinstance(g, GroupElement):
+                raise ValidationError(f"term element {g!r} is not a group element")
             if g.spec != self.spec:
                 raise ValidationError("term element belongs to a different group spec")
             if g.is_identity:
                 raise ValidationError("identity element is excluded from the support")
-            if coeff == 0:
-                raise ValidationError("zero coefficients must not be stored")
+            if type(coeff) is not int or coeff == 0:
+                raise ValidationError(f"coefficient {coeff!r} must be a nonzero integer")
             keys.append(canonical_key(g))
         # canonical_key is injective on reduced words: sorted and distinct = keys increase
         if any(a >= b for a, b in zip(keys, keys[1:])):

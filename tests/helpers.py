@@ -13,6 +13,7 @@ instances the tests generate.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -400,3 +401,53 @@ def reference_hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]
         pivots.append((r, c))
         r += 1
     return mat[:r], pivots
+
+
+# forms.normalize with its second sort, and GroupSpec.element, GroupSpec._push
+# and GroupElement.__mul__, from before each step had one implementation (one
+# sort over the net counts, one syllable-merge loop); kept verbatim (only the
+# names changed, and the methods are functions) as references for the
+# differential tests.
+def reference_normalize(data: SRData, manifold) -> SRData:
+    """Apply tube merging, disc cancellation and canonical sorting to a fixed point."""
+    validate_or_raise(data, manifold)
+    tube_counts = Counter(data.double_tubes)
+    tubes = [t for t, count in tube_counts.items() if count % 2 == 1]
+    net = Counter({t: count // 2 for t, count in tube_counts.items()})
+    for sign, g in data.sr_discs:
+        net[g] += sign
+    discs: list[tuple[int, GroupElement]] = []
+    for g, total in net.items():
+        if total:
+            discs.extend([(1 if total > 0 else -1, g)] * abs(total))
+    tubes.sort(key=canonical_key)
+    discs.sort(key=lambda item: (canonical_key(item[1]), -item[0]))
+    return SRData(tuple(tubes), tuple(discs))
+
+
+def reference_element(spec: GroupSpec, syllables) -> GroupElement:
+    """Build the reduced word with the given syllables, merging as needed."""
+    stack: list[tuple[int, int]] = []
+    for ref, exp in syllables:
+        idx = ref if isinstance(ref, int) else spec.index_of(ref)
+        _reference_push(spec, stack, idx, exp)
+    return GroupElement(spec, tuple(stack))
+
+
+def _reference_push(spec: GroupSpec, stack: list[tuple[int, int]], index: int, exp: int) -> None:
+    if stack and stack[-1][0] == index:
+        exp += stack.pop()[1]
+    exp = spec._normalize_exponent(index, exp)
+    if exp != 0:
+        stack.append((index, exp))
+
+
+def reference_mul(self: GroupElement, other: GroupElement) -> GroupElement:
+    if not isinstance(other, GroupElement):
+        return NotImplemented
+    if other.spec != self.spec:
+        raise ValidationError("cannot multiply elements over different group specs")
+    stack = list(self.syllables)
+    for index, exp in other.syllables:
+        _reference_push(self.spec, stack, index, exp)
+    return GroupElement(self.spec, tuple(stack))

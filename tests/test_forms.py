@@ -175,3 +175,10 @@ def test_preset_manifold_round_trip_with_normalize():
     t = manifold.group.generator("t")
     data = SRData((), ((1, t), (1, ~t)))
     assert normalize(data, manifold) == SRData((), ((1, t), (1, ~t)))
+
+
+def test_concat_rejects_an_entry_that_is_not_an_element():
+    with pytest.raises(ValidationError, match="not group elements"):
+        concat(SRData(("t",), ()), SRData())
+    with pytest.raises(ValidationError, match="not group elements"):
+        concat(SRData(), SRData((), ((1, "t"),)))

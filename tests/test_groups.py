@@ -223,3 +223,32 @@ def test_str_parse_stability_fuzz():
         rebuilt = spec.element(g.syllables)
         assert rebuilt == g
         assert str(rebuilt) == str(g)
+
+
+@pytest.mark.parametrize("order", [2.0, True, "2"])
+def test_factor_rejects_a_non_integer_order(order):
+    with pytest.raises(ValidationError, match="must have an integer order"):
+        Factor("a", order)
+
+
+@pytest.mark.parametrize("exp", [1.0, 1.5, True])
+def test_element_constructor_rejects_a_non_integer_exponent(exp):
+    with pytest.raises(ValidationError, match="is not a reduced integer"):
+        GroupElement(FREE, ((0, exp),))
+
+
+def test_multiplying_by_a_non_element_is_a_type_error():
+    t = FREE.generator("t")
+    with pytest.raises(TypeError):
+        t * 3
+
+
+def test_less_than_agrees_with_the_canonical_order():
+    rng = random.Random(46)
+    for _ in range(200):
+        spec = random_spec(rng)
+        words = [random_element(rng, spec) for _ in range(6)]
+        ordered = sorted(words)
+        assert ordered == sorted(words, key=canonical_key)
+        assert all(compare_canonical(a, b) <= 0 for a, b in zip(ordered, ordered[1:]))
+        assert all((a < b) == (compare_canonical(a, b) == -1) for a in words for b in words)

@@ -1,0 +1,69 @@
+"""Static checks on the package's imports.
+
+The package has no runtime dependencies, so every absolute import must name
+a standard-library module.  No imported name may go unused: a name counts
+as used when it appears in the code, in a quoted annotation or in the
+module's `__all__`, which is how `__init__.py` re-exports.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "daxcalc"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imports(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+        annotations = []
+        if isinstance(node, ast.FunctionDef):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                quoted = ast.parse(ann.value, mode="eval")
+                names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return names
+
+
+def test_modules_found():
+    assert PACKAGE / "__init__.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    tree = ast.parse(path.read_text(), str(path))
+    for node in imports(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = used_names(tree)
+    for node in imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            assert bound in used, f"{path.name}:{node.lineno} imports {alias.name} but never uses it"

@@ -202,3 +202,17 @@ def test_equal_mod_kernel_is_equivalence_fuzz():
         assert equal_mod_kernel(x, y, kernel) == equal_mod_kernel(y, x, kernel)
         if equal_mod_kernel(x, y, kernel) and equal_mod_kernel(y, z, kernel):
             assert equal_mod_kernel(x, z, kernel)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[2], [3, 1]],  # a longer row used to lose its extra entries
+        [[1, 2], [3]],  # a shorter row used to end in IndexError
+        [[1.5, 2]],
+        [[1, 2], [True, 0]],
+    ],
+)
+def test_hermite_normal_form_rejects_ragged_or_non_integer_rows(rows):
+    with pytest.raises(ValidationError, match="integer lists as long as rows"):
+        hermite_normal_form(rows)

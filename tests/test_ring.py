@@ -138,3 +138,20 @@ def test_dax_sum_inverse_symmetry_fuzz():
         g = random_nontrivial(rng, spec)
         sign = rng.choice((1, -1))
         assert dax_sum(g, sign) == dax_sum(~g, sign)
+
+
+@pytest.mark.parametrize("coeff", [1.5, 1.0, True])
+def test_ring_element_rejects_a_non_integer_coefficient(coeff):
+    with pytest.raises(ValidationError, match="must be a nonzero integer"):
+        RingElement(SPEC, ((T, coeff),))
+
+
+def test_ring_element_rejects_a_term_that_is_not_an_element():
+    with pytest.raises(ValidationError, match="is not a group element"):
+        RingElement(SPEC, (("t", 1),))
+
+
+@pytest.mark.parametrize("op", [lambda x: x + 1, lambda x: x - 1])
+def test_ring_arithmetic_with_an_int_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op(monomial(T, 1))
