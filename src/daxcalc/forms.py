@@ -34,7 +34,11 @@ class SRData:
 
     def __post_init__(self):
         object.__setattr__(self, "double_tubes", tuple(self.double_tubes))
-        object.__setattr__(self, "sr_discs", tuple(tuple(d) for d in self.sr_discs))
+        discs = tuple(self.sr_discs)
+        for j, disc in enumerate(discs):
+            if not isinstance(disc, (tuple, list)) or len(disc) != 2:
+                raise ValidationError(f"sr_discs[{j}]: disc must be a (sign, element) pair")
+        object.__setattr__(self, "sr_discs", tuple(tuple(d) for d in discs))
 
     @property
     def is_empty(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ValidationError
 
@@ -67,7 +67,15 @@ class GroupSpec:
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
         """Build the reduced word with the given syllables, merging as needed."""
-        return self._merge([], ((ref if isinstance(ref, int) else self.index_of(ref), exp) for ref, exp in syllables))
+        return self._merge([], self._checked(syllables))
+
+    def _checked(self, syllables: Iterable[tuple[Union[int, str], int]]) -> Iterator[tuple[int, int]]:
+        """Resolve each syllable's factor and check its exponent's type before any merge can hide it."""
+        for ref, exp in syllables:
+            index = ref if type(ref) is int else self.index_of(ref)
+            if type(exp) is not int:
+                raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
+            yield index, exp
 
     def _normalize_exponent(self, index: int, exp: int) -> int:
         if not 0 <= index < len(self.factors):
@@ -100,9 +108,11 @@ class GroupElement:
     syllables: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "syllables", tuple(tuple(s) for s in self.syllables))
+        object.__setattr__(self, "syllables", tuple(map(tuple, self.syllables)))
         prev = None
         for index, exp in self.syllables:
+            if type(index) is not int:
+                raise ValidationError(f"factor index {index!r} is not an integer")
             if type(exp) is not int or exp != self.spec._normalize_exponent(index, exp) or exp == 0:
                 raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
             if prev == index:

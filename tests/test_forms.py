@@ -182,3 +182,9 @@ def test_concat_rejects_an_entry_that_is_not_an_element():
         concat(SRData(("t",), ()), SRData())
     with pytest.raises(ValidationError, match="not group elements"):
         concat(SRData(), SRData((), ((1, "t"),)))
+
+
+@pytest.mark.parametrize("discs", [(5,), ((1,),), ((1, T, T),), ("ab",)])
+def test_srdata_rejects_a_disc_that_is_not_a_pair(discs):
+    with pytest.raises(ValidationError, match=r"sr_discs\[0\]: disc must be a \(sign, element\) pair"):
+        SRData((), discs)

@@ -237,6 +237,19 @@ def test_element_constructor_rejects_a_non_integer_exponent(exp):
         GroupElement(FREE, ((0, exp),))
 
 
+@pytest.mark.parametrize("syllables", [[(0, 1), (0, True)], [(0, 1.5), (0, -1.5)], [(0, 2.0)]])
+def test_element_rejects_a_non_integer_exponent_before_merging(syllables):
+    with pytest.raises(ValidationError, match="is not a reduced integer for factor index 0"):
+        MIXED.element(syllables)
+
+
+def test_a_bool_factor_index_is_rejected():
+    with pytest.raises(ValidationError, match="factor index True is not an integer"):
+        GroupElement(MIXED, ((True, 1),))
+    with pytest.raises(ValidationError, match="unknown factor name True"):
+        MIXED.element([(True, 1)])
+
+
 def test_multiplying_by_a_non_element_is_a_type_error():
     t = FREE.generator("t")
     with pytest.raises(TypeError):

@@ -1,18 +1,20 @@
 """Explicit reduction over the generators' support: differential checks.
 
 ExplicitKernel.reduce builds its lattice basis from the generators' support
-alone and passes x's other terms through, and hermite_normal_form narrows one
-list of live rows per column.  The seed versions, whose basis also spanned
-x's support and whose elimination rescanned every row, are kept in
-helpers.py; here both run on a fixed-seed corpus and must agree on every
-output or error.  The last test checks the reduction's coset properties.
+alone and passes x's other terms through, and hermite_normal_form inserts the
+rows one at a time.  The seed versions, whose basis also spanned x's support
+and whose Euclidean elimination rescanned every row, are kept in helpers.py;
+here both run on fixed-seed corpora, small and shaped like the benchmark's
+40-generator kernel, and must agree on every output or error.  The last test
+checks the reduction's coset properties.
 """
 
 import random
 
-from daxcalc import ExplicitKernel, RingElement, hermite_normal_form
+from daxcalc import ExplicitKernel, Factor, GroupSpec, RingElement, hermite_normal_form
 
 from helpers import (
+    random_nontrivial,
     random_ring_element,
     random_spec,
     reference_explicit_reduce,
@@ -20,6 +22,9 @@ from helpers import (
 )
 
 CASES = 3000
+# the benchmark's explicit-kernel group
+WORKLOAD_SPEC = GroupSpec((Factor("a", 2), Factor("b", 3), Factor("t")))
+COEFFS = [c for c in range(-9, 10) if c]
 
 
 def outcome(fn, *args):
@@ -76,6 +81,51 @@ def random_matrix(rng):
     return rows
 
 
+def sparse_row(rng, n, nonzeros=6):
+    """n entries, `nonzeros` of them nonzero with |c| <= 9, like a workload kernel generator."""
+    row = [0] * n
+    for j in rng.sample(range(n), min(n, nonzeros)):
+        row[j] = rng.choice(COEFFS)
+    return row
+
+
+def larger_matrix(rng):
+    """Up to 20 x 25, sparse or dense, some rank-deficient, duplicated or all-negative."""
+    k, n = rng.randint(1, 20), rng.randint(1, 25)
+    if rng.random() < 0.5:
+        rows = [sparse_row(rng, n) for _ in range(k)]
+    else:
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+    roll = rng.random()
+    if roll < 0.2:
+        rows = [[-abs(v) for v in row] for row in rows]
+    elif roll < 0.45 and k >= 3:
+        # a third of the rows integer combinations of two others
+        for b in rng.sample(range(k), k // 3):
+            a, c = rng.sample([i for i in range(k) if i != b], 2)
+            alpha, beta = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[b] = [alpha * u + beta * v for u, v in zip(rows[a], rows[c])]
+    elif roll < 0.65 and k >= 2:
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(1, k))]
+        rng.shuffle(rows)
+    return rows
+
+
+def workload_generators(rng):
+    """20 to 40 generators of six terms, |c| <= 9, sharing a support a little larger or smaller than their number."""
+    n = rng.randint(20, 40)
+    size = n + rng.randint(-4, 8)
+    pool = set()
+    while len(pool) < size:
+        pool.add(random_nontrivial(rng, WORKLOAD_SPEC, max_syllables=4))
+    pool = sorted(pool, key=str)
+    generators = []
+    for _ in range(n):
+        terms = rng.sample(pool, 6)
+        generators.append(RingElement.from_mapping(WORKLOAD_SPEC, {g: rng.choice(COEFFS) for g in terms}))
+    return tuple(generators)
+
+
 def test_explicit_reduce_matches_the_reference():
     rng = random.Random(505)
     for _ in range(CASES):
@@ -92,6 +142,25 @@ def test_hermite_normal_form_matches_the_reference():
     for _ in range(CASES):
         rows = random_matrix(rng)
         assert hermite_normal_form(rows) == reference_hermite_normal_form(rows)
+
+
+def test_hermite_normal_form_matches_the_reference_on_larger_matrices():
+    rng = random.Random(808)
+    corpus = [[], [[]], [[], [], []], [[0] * 25 for _ in range(20)]]
+    corpus += [larger_matrix(rng) for _ in range(300)]
+    corpus.append([sparse_row(rng, 48) for _ in range(40)])
+    for rows in corpus:
+        assert hermite_normal_form(rows) == reference_hermite_normal_form(rows)
+
+
+def test_explicit_reduce_matches_the_reference_with_many_generators():
+    rng = random.Random(909)
+    for _ in range(50):
+        generators = workload_generators(rng)
+        kernel = ExplicitKernel(generators)
+        for _ in range(2):  # the second reduce reuses the kernel's lattice matrix
+            x = random_x(rng, WORKLOAD_SPEC, random_spec(rng), generators)
+            assert outcome(kernel.reduce, x) == outcome(reference_explicit_reduce, generators, x)
 
 
 def test_reduce_is_idempotent_and_constant_on_cosets():
