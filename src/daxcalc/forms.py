@@ -33,8 +33,11 @@ class SRData:
     sr_discs: tuple[tuple[int, GroupElement], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "double_tubes", tuple(self.double_tubes))
-        discs = tuple(self.sr_discs)
+        try:
+            object.__setattr__(self, "double_tubes", tuple(self.double_tubes))
+            discs = tuple(self.sr_discs)
+        except TypeError:
+            raise ValidationError("double_tubes and sr_discs must be sequences") from None
         for j, disc in enumerate(discs):
             if not isinstance(disc, (tuple, list)) or len(disc) != 2:
                 raise ValidationError(f"sr_discs[{j}]: disc must be a (sign, element) pair")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import ValidationError
 
@@ -45,8 +45,12 @@ class GroupSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        names = [f.name for f in self.factors]
-        if len(set(names)) != len(names):
+        for i, f in enumerate(self.factors):
+            if not isinstance(f, Factor):
+                raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
+        # the name table is not a field, so ==, hash and repr see only the factors
+        object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
+        if len(self._index) != len(self.factors):
             raise ValidationError("factor names must be pairwise distinct")
 
     @property
@@ -54,10 +58,10 @@ class GroupSpec:
         return not self.factors
 
     def index_of(self, name: str) -> int:
-        for i, f in enumerate(self.factors):
-            if f.name == name:
-                return i
-        raise ValidationError(f"unknown factor name {name!r}")
+        try:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ValidationError(f"unknown factor name {name!r}") from None
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, ())
@@ -67,15 +71,7 @@ class GroupSpec:
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
         """Build the reduced word with the given syllables, merging as needed."""
-        return self._merge([], self._checked(syllables))
-
-    def _checked(self, syllables: Iterable[tuple[Union[int, str], int]]) -> Iterator[tuple[int, int]]:
-        """Resolve each syllable's factor and check its exponent's type before any merge can hide it."""
-        for ref, exp in syllables:
-            index = ref if type(ref) is int else self.index_of(ref)
-            if type(exp) is not int:
-                raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
-            yield index, exp
+        return self._merge([], syllables)
 
     def _normalize_exponent(self, index: int, exp: int) -> int:
         if not 0 <= index < len(self.factors):
@@ -83,9 +79,16 @@ class GroupSpec:
         order = self.factors[index].order
         return exp % order if order is not None else exp
 
-    def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[int, int]]) -> "GroupElement":
-        """Push each syllable onto the reduced word in stack, merging as needed."""
-        for index, exp in syllables:
+    def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
+        """Resolve, type-check and push each syllable onto the reduced word in stack, merging as needed."""
+        for syllable in syllables:
+            try:
+                ref, exp = syllable
+            except (TypeError, ValueError):
+                raise ValidationError(f"syllable {syllable!r} is not a (factor, exponent) pair") from None
+            index = ref if type(ref) is int else self.index_of(ref)
+            if type(exp) is not int:
+                raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
             if stack and stack[-1][0] == index:
                 exp += stack.pop()[1]
             exp = self._normalize_exponent(index, exp)
@@ -108,16 +111,19 @@ class GroupElement:
     syllables: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "syllables", tuple(map(tuple, self.syllables)))
-        prev = None
-        for index, exp in self.syllables:
-            if type(index) is not int:
-                raise ValidationError(f"factor index {index!r} is not an integer")
-            if type(exp) is not int or exp != self.spec._normalize_exponent(index, exp) or exp == 0:
-                raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
-            if prev == index:
-                raise ValidationError("adjacent syllables must use distinct factors")
-            prev = index
+        try:
+            object.__setattr__(self, "syllables", tuple(map(tuple, self.syllables)))
+            prev = None
+            for index, exp in self.syllables:
+                if type(index) is not int:
+                    raise ValidationError(f"factor index {index!r} is not an integer")
+                if type(exp) is not int or exp != self.spec._normalize_exponent(index, exp) or exp == 0:
+                    raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
+                if prev == index:
+                    raise ValidationError("adjacent syllables must use distinct factors")
+                prev = index
+        except (TypeError, ValueError):  # an entry that is not a pair
+            raise ValidationError("syllables must be (factor index, exponent) pairs") from None
 
     @property
     def is_identity(self) -> bool:
@@ -131,10 +137,11 @@ class GroupElement:
         return self.spec._merge(list(self.syllables), other.syllables)
 
     def __invert__(self) -> "GroupElement":
-        normalize = self.spec._normalize_exponent  # a reversed reduced word needs no merges
-        return GroupElement(self.spec, tuple((i, normalize(i, -exp)) for i, exp in reversed(self.syllables)))
+        return self.spec._merge([], ((i, -exp) for i, exp in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "GroupElement":
+        if type(n) is not int:
+            return NotImplemented
         base = ~self if n < 0 else self
         n = abs(n)
         result = self.spec.identity()

@@ -15,19 +15,19 @@ pivot row or takes part in a unimodular extended-gcd step, and every pivot
 row so changed is at once re-reduced against the pivots to its right.
 Without that re-reduction the unreduced pivot rows feed one another, the
 entries grow far past the final form's, and a 40-generator HNF takes
-seconds instead of milliseconds.  The HNF's closing back-reduction and
-reduce share one pivot step, _reduce_by_pivots.  Infinite kernel families
-that do not follow the inverse-pair pattern are out of scope.
+seconds instead of milliseconds.  One helper does that re-reduction and
+the closing pass over every row, and it shares one pivot step,
+_reduce_by_pivots, with reduce.  Infinite kernel families that do not
+follow the inverse-pair pattern are out of scope.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Union
+from typing import Collection, Iterable, Union
 
 from .errors import ValidationError
 from .groups import canonical_key
@@ -72,6 +72,8 @@ class ExplicitKernel:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         for i, gen in enumerate(self.generators):
+            if not isinstance(gen, RingElement):
+                raise ValidationError(f"generators[{i}]: kernel generator must be a ring element")
             if gen.is_zero:
                 raise ValidationError(f"generators[{i}]: kernel generator must be nonzero")
         specs = {gen.spec for gen in self.generators}
@@ -102,7 +104,7 @@ class ExplicitKernel:
         vec = [0] * len(basis)
         for g in terms.keys() & index.keys():
             vec[index[g]] = terms.pop(g)
-        vec = _reduce_by_pivots(vec, hnf, pivots)
+        vec = _reduce_by_pivots(vec, [(c, hnf[i]) for i, c in pivots])
         terms.update((basis[i], c) for i, c in enumerate(vec) if c)
         return RingElement.from_mapping(x.spec, terms)
 
@@ -120,12 +122,14 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
     positions.  Pivots are positive, strictly ordered by column, entries above
     a pivot lie in [0, pivot), and the rows span the same lattice as the input.
     """
-    mat = [list(row) for row in rows]
+    try:
+        mat = [list(row) for row in rows]
+    except TypeError:
+        raise ValidationError("rows must be integer lists") from None
     n_cols = len(mat[0]) if mat else 0
     if any(len(row) != n_cols or not all(type(a) is int for a in row) for row in mat):
         raise ValidationError(f"rows must be integer lists as long as rows[0] ({n_cols})")
     by_col: dict[int, list[int]] = {}  # the one pivot row of each pivot column
-    cols: list[int] = []  # the pivot columns, ascending
     for vec in mat:
         changed = []  # the pivot columns whose row this insertion added or replaced
         c = 0
@@ -133,7 +137,6 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
             row = by_col.get(c)
             if row is None:
                 by_col[c] = vec if vec[c] > 0 else [-a for a in vec]
-                insort(cols, c)
                 changed.append(c)
                 break
             a, b = row[c], vec[c]
@@ -148,26 +151,27 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
             by_col[c] = [s * x + t * y for x, y in zip(row, vec)]
             vec = [b * x - a * y for x, y in zip(row, vec)]
             changed.append(c)
-        # right to left, so each changed row is reduced by rows already reduced;
-        # by_col is indexed by column, so the pivot at column d sits at (d, d)
-        for c in reversed(changed):
-            later = cols[bisect_right(cols, c):]
-            by_col[c] = _reduce_by_pivots(by_col[c], by_col, [(d, d) for d in later])
-    hnf = [by_col[c] for c in cols]
-    pivots = list(enumerate(cols))
-    for i in reversed(range(len(hnf))):  # bottom-up: each row is reduced by reduced rows
-        hnf[i] = _reduce_by_pivots(hnf[i], hnf, pivots[i + 1:])
-    return hnf, pivots
+        _reduce_pivot_rows(by_col, changed)
+    _reduce_pivot_rows(by_col, by_col)  # the closing pass: every row
+    cols = sorted(by_col)
+    return [by_col[c] for c in cols], list(enumerate(cols))
 
 
-def _reduce_by_pivots(
-    vec: list[int], rows: list[list[int]] | dict[int, list[int]], pivots: list[tuple[int, int]]
-) -> list[int]:
-    """Subtract echelon rows, in pivot order, until each pivot coordinate lies in [0, pivot)."""
-    for ri, ci in pivots:
-        q = vec[ci] // rows[ri][ci]
+def _reduce_pivot_rows(by_col: dict[int, list[int]], cols: Collection[int]) -> None:
+    """Reduce the pivot rows at cols, right to left, against the pivots to their right."""
+    later: list[tuple[int, list[int]]] = []  # the pivots right of column d, rightmost first
+    for d in sorted(by_col, reverse=True):
+        if d in cols:  # each row is reduced by rows already reduced
+            by_col[d] = _reduce_by_pivots(by_col[d], reversed(later))
+        later.append((d, by_col[d]))
+
+
+def _reduce_by_pivots(vec: list[int], pivots: Iterable[tuple[int, list[int]]]) -> list[int]:
+    """Subtract (column, row) pivots, in column order, until each pivot coordinate lies in [0, pivot)."""
+    for c, row in pivots:
+        q = vec[c] // row[c]
         if q:
-            vec = [a - q * b for a, b in zip(vec, rows[ri])]
+            vec = [a - q * b for a, b in zip(vec, row)]
     return vec
 
 

@@ -24,7 +24,11 @@ class DaxValue(NamedTuple):
 
 
 def _check_points(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> None:
-    for i, (sign, loop) in enumerate(points):
+    for i, point in enumerate(points):
+        try:
+            sign, loop = point
+        except (TypeError, ValueError):
+            raise ValidationError(f"points[{i}]: point must be a (sign, element) pair") from None
         if type(sign) is not int or sign not in (1, -1):
             raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
         if not isinstance(loop, GroupElement) or loop.spec != spec:

@@ -26,18 +26,21 @@ class RingElement:
     terms: tuple[tuple[GroupElement, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(tuple(t) for t in self.terms))
-        keys = []
-        for g, coeff in self.terms:
-            if not isinstance(g, GroupElement):
-                raise ValidationError(f"term element {g!r} is not a group element")
-            if g.spec != self.spec:
-                raise ValidationError("term element belongs to a different group spec")
-            if g.is_identity:
-                raise ValidationError("identity element is excluded from the support")
-            if type(coeff) is not int or coeff == 0:
-                raise ValidationError(f"coefficient {coeff!r} must be a nonzero integer")
-            keys.append(canonical_key(g))
+        try:
+            object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
+            keys = []
+            for g, coeff in self.terms:
+                if not isinstance(g, GroupElement):
+                    raise ValidationError(f"term element {g!r} is not a group element")
+                if g.spec != self.spec:
+                    raise ValidationError("term element belongs to a different group spec")
+                if g.is_identity:
+                    raise ValidationError("identity element is excluded from the support")
+                if type(coeff) is not int or coeff == 0:
+                    raise ValidationError(f"coefficient {coeff!r} must be a nonzero integer")
+                keys.append(canonical_key(g))
+        except (TypeError, ValueError):  # an entry that is not a pair
+            raise ValidationError("terms must be (group element, coefficient) pairs") from None
         # canonical_key is injective on reduced words: sorted and distinct = keys increase
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValidationError("terms must be strictly sorted in canonical order")

@@ -188,3 +188,8 @@ def test_concat_rejects_an_entry_that_is_not_an_element():
 def test_srdata_rejects_a_disc_that_is_not_a_pair(discs):
     with pytest.raises(ValidationError, match=r"sr_discs\[0\]: disc must be a \(sign, element\) pair"):
         SRData((), discs)
+
+
+def test_srdata_rejects_lists_that_are_not_sequences():
+    with pytest.raises(ValidationError, match="double_tubes and sr_discs must be sequences"):
+        SRData(5)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -265,3 +267,53 @@ def test_less_than_agrees_with_the_canonical_order():
         assert ordered == sorted(words, key=canonical_key)
         assert all(compare_canonical(a, b) <= 0 for a, b in zip(ordered, ordered[1:]))
         assert all((a < b) == (compare_canonical(a, b) == -1) for a in words for b in words)
+
+
+def test_a_factor_that_is_not_a_factor_is_rejected():
+    with pytest.raises(ValidationError, match=r"factors\[0\]: 't' is not a Factor"):
+        GroupSpec(("t",))
+
+
+@pytest.mark.parametrize("syllables", [(5,), ((0,),)])
+def test_element_constructor_rejects_a_syllable_that_is_not_a_pair(syllables):
+    with pytest.raises(ValidationError, match=r"syllables must be \(factor index, exponent\) pairs"):
+        GroupElement(FREE, syllables)
+
+
+@pytest.mark.parametrize("syllable", [5, (0, 1, 2)])
+def test_element_rejects_a_syllable_that_is_not_a_pair(syllable):
+    with pytest.raises(ValidationError, match=r"is not a \(factor, exponent\) pair"):
+        MIXED.element([syllable])
+
+
+@pytest.mark.parametrize("n", [True, 1.5])
+def test_power_by_a_non_int_is_a_type_error(n):
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\* or pow\(\)"):
+        FREE.generator("t") ** n
+
+
+@pytest.mark.parametrize("build", [lambda: MIXED.index_of(["t"]), lambda: MIXED.element([(["t"], 1)])])
+def test_an_unhashable_factor_name_is_unknown(build):
+    with pytest.raises(ValidationError, match=r"unknown factor name \['t'\]"):
+        build()
+
+
+def test_duplicate_factor_names_are_rejected():
+    with pytest.raises(ValidationError, match="factor names must be pairwise distinct"):
+        GroupSpec((Factor("t"), Factor("a", 2), Factor("t", 3)))
+
+
+def test_separately_built_equal_specs_agree():
+    other = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 3)))
+    assert other == MIXED
+    assert hash(other) == hash(MIXED)
+    assert repr(other) == repr(MIXED)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec))])
+def test_copied_specs_still_resolve_names(clone):
+    spec = clone(MIXED)
+    assert spec == MIXED
+    assert [spec.index_of(name) for name in ("t", "a", "b")] == [0, 1, 2]
+    with pytest.raises(ValidationError, match="unknown factor name 'c'"):
+        spec.index_of("c")

@@ -67,3 +67,35 @@ def test_every_imported_name_is_used(path):
         for alias in node.names:
             bound = alias.asname or alias.name.split(".")[0]
             assert bound in used, f"{path.name}:{node.lineno} imports {alias.name} but never uses it"
+
+
+def private_definitions(tree: ast.Module):
+    """Private module-level names, and private functions, methods and classes at any depth."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                yield target.id, node.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    private = [
+        (name, f"{module}:{lineno}")
+        for module, tree in trees.items()
+        for name, lineno in private_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert private
+    unused = [f"{where} defines {name} but nothing references it" for name, where in private if name not in referenced]
+    assert not unused, unused

@@ -216,3 +216,13 @@ def test_equal_mod_kernel_is_equivalence_fuzz():
 def test_hermite_normal_form_rejects_ragged_or_non_integer_rows(rows):
     with pytest.raises(ValidationError, match="integer lists as long as rows"):
         hermite_normal_form(rows)
+
+
+def test_explicit_kernel_rejects_a_generator_that_is_not_a_ring_element():
+    with pytest.raises(ValidationError, match=r"generators\[0\]: kernel generator must be a ring element"):
+        ExplicitKernel((5,))
+
+
+def test_hermite_normal_form_rejects_a_row_that_is_not_a_list():
+    with pytest.raises(ValidationError, match="rows must be integer lists"):
+        hermite_normal_form([5])

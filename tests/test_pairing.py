@@ -107,3 +107,8 @@ def test_spin_composition_rejects_identity():
 def test_spin_inverse_cancels():
     # tau_{-g} is the inverse of tau_g: composing them contributes zero
     assert spin_composition_value([(1, T), (-1, T)], SPEC).is_zero
+
+
+def test_dax_value_rejects_a_point_that_is_not_a_pair():
+    with pytest.raises(ValidationError, match=r"points\[0\]: point must be a \(sign, element\) pair"):
+        dax_value([(1, T, 3)], SPEC)

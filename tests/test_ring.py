@@ -155,3 +155,9 @@ def test_ring_element_rejects_a_term_that_is_not_an_element():
 def test_ring_arithmetic_with_an_int_is_a_type_error(op):
     with pytest.raises(TypeError):
         op(monomial(T, 1))
+
+
+@pytest.mark.parametrize("terms", [((T, 1, 2),), (5,)])
+def test_ring_element_rejects_a_term_that_is_not_a_pair(terms):
+    with pytest.raises(ValidationError, match=r"terms must be \(group element, coefficient\) pairs"):
+        RingElement(SPEC, terms)
