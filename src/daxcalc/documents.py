@@ -94,6 +94,9 @@ def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElem
     return sign, _field(parse_word, data["word"], spec, f"{path}.word")
 
 
+_FACTOR_KEYS = {"Z": {"type", "name"}, "Zn": {"type", "name", "n"}}
+
+
 def group_from_json(obj: Any, path: str = "group") -> GroupSpec:
     data = _object(obj, path, {"factors"})
     factors = []
@@ -101,14 +104,10 @@ def group_from_json(obj: Any, path: str = "group") -> GroupSpec:
         fpath = f"{path}.factors[{i}]"
         fobj = _expect(entry, dict, fpath)
         kind = _expect(fobj.get("type"), str, f"{fpath}.type")
-        if kind == "Z":
-            _object(fobj, fpath, {"type", "name"})
-            order = None
-        elif kind == "Zn":
-            _object(fobj, fpath, {"type", "name", "n"})
-            order = _expect(fobj["n"], int, f"{fpath}.n")
-        else:
+        if kind not in _FACTOR_KEYS:
             raise ValidationError(f"unknown factor type {kind!r}; expected 'Z' or 'Zn'", f"{fpath}.type")
+        _object(fobj, fpath, _FACTOR_KEYS[kind])
+        order = _expect(fobj["n"], int, f"{fpath}.n") if "n" in fobj else None
         name = _expect(fobj["name"], str, f"{fpath}.name")
         try:
             factors.append(Factor(name, order))
@@ -277,28 +276,19 @@ def execute(doc: SessionDocument) -> list[dict]:
     results = []
     for query in doc.queries:
         if query.kind == "invariant":
-            value = phi(doc.discs[query.value], doc.manifold)
-            results.append({"kind": "invariant", "disc": query.value, "value": str(value)})
+            record = {"disc": query.value, "value": str(phi(doc.discs[query.value], doc.manifold))}
         elif query.kind == "compare":
             a, b = query.value
-            verdict = compare(doc.discs[a], doc.discs[b], doc.manifold)
-            results.append(
-                {
-                    "kind": "compare",
-                    "discs": [a, b],
-                    "outcome": verdict.outcome,
-                    "certificate": verdict.certificate,
-                    "rule": verdict.rule,
-                }
-            )
+            record = {"discs": [a, b], **vars(compare(doc.discs[a], doc.discs[b], doc.manifold))}
         elif query.kind == "reduce":
-            results.append({"kind": "reduce", "value": str(doc.manifold.kernel.reduce(query.value))})
+            record = {"value": str(doc.manifold.kernel.reduce(query.value))}
         elif query.kind == "normalize":
             normed = normalize(doc.discs[query.value], doc.manifold)
-            results.append({"kind": "normalize", "disc": query.value, "value": disc_to_json(normed)})
+            record = {"disc": query.value, "value": disc_to_json(normed)}
         else:
             value = dax_value(query.value, doc.manifold.group)
-            results.append({"kind": "pairing", "value": str(value.value), "dropped": value.dropped})
+            record = {"value": str(value.value), "dropped": value.dropped}
+        results.append({"kind": query.kind, **record})
     return results
 
 

@@ -44,7 +44,10 @@ class GroupSpec:
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        try:
+            object.__setattr__(self, "factors", tuple(self.factors))
+        except TypeError:
+            raise ValidationError(f"factors must be an iterable of Factor, got {type(self.factors).__name__}") from None
         for i, f in enumerate(self.factors):
             if not isinstance(f, Factor):
                 raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
@@ -71,6 +74,10 @@ class GroupSpec:
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
         """Build the reduced word with the given syllables, merging as needed."""
+        try:
+            syllables = iter(syllables)
+        except TypeError:
+            raise ValidationError(f"syllables must be an iterable of pairs, got {type(syllables).__name__}") from None
         return self._merge([], syllables)
 
     def _normalize_exponent(self, index: int, exp: int) -> int:

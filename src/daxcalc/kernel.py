@@ -70,7 +70,10 @@ class ExplicitKernel:
     generators: tuple[RingElement, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        try:
+            object.__setattr__(self, "generators", tuple(self.generators))
+        except TypeError:
+            raise ValidationError(f"generators must be an iterable of ring elements, got {type(self.generators).__name__}") from None
         for i, gen in enumerate(self.generators):
             if not isinstance(gen, RingElement):
                 raise ValidationError(f"generators[{i}]: kernel generator must be a ring element")

@@ -23,7 +23,14 @@ class DaxValue(NamedTuple):
     dropped: int
 
 
-def _check_points(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> None:
+def dax_value(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> DaxValue:
+    """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
+    try:
+        points = iter(points)
+    except TypeError:
+        raise ValidationError(f"points must be an iterable of pairs, got {type(points).__name__}") from None
+    total = Counter()
+    dropped = 0
     for i, point in enumerate(points):
         try:
             sign, loop = point
@@ -33,14 +40,6 @@ def _check_points(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -
             raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
         if not isinstance(loop, GroupElement) or loop.spec != spec:
             raise ValidationError(f"points[{i}]: element is not over the given group spec")
-
-
-def dax_value(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> DaxValue:
-    """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
-    _check_points(points, spec)
-    total = Counter()
-    dropped = 0
-    for sign, loop in points:
         if loop.is_identity:
             dropped += 1
         else:
@@ -56,6 +55,11 @@ def spin_composition_value(
     Trivial spin entries contribute nothing and are rejected to force the
     caller to be explicit.
     """
+    try:
+        spins = iter(spins)
+    except TypeError:
+        raise ValidationError(f"spins must be an iterable of pairs, got {type(spins).__name__}") from None
+    spins = tuple(spins)  # one walk of the input: dax_value and the trivial check read the copy
     value = dax_value(spins, spec).value
     for i, (_, g) in enumerate(spins):
         if g.is_identity:

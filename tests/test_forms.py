@@ -193,3 +193,15 @@ def test_srdata_rejects_a_disc_that_is_not_a_pair(discs):
 def test_srdata_rejects_lists_that_are_not_sequences():
     with pytest.raises(ValidationError, match="double_tubes and sr_discs must be sequences"):
         SRData(5)
+
+
+def test_manifold_rejects_a_group_that_is_not_a_group_spec():
+    with pytest.raises(ValidationError, match="manifold group must be a GroupSpec, got int"):
+        ManifoldModel(5, TrivialKernel())
+
+
+def test_manifold_rejects_a_kernel_that_is_not_a_kernel_spec():
+    with pytest.raises(ValidationError, match="manifold kernel must be a kernel spec, got int"):
+        ManifoldModel(SPEC, 5)
+    with pytest.raises(ValidationError, match="manifold kernel must be a kernel spec, got GroupSpec"):
+        ManifoldModel(SPEC, SPEC)

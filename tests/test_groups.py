@@ -317,3 +317,20 @@ def test_copied_specs_still_resolve_names(clone):
     assert [spec.index_of(name) for name in ("t", "a", "b")] == [0, 1, 2]
     with pytest.raises(ValidationError, match="unknown factor name 'c'"):
         spec.index_of("c")
+
+
+def test_group_spec_rejects_a_container_that_is_not_iterable():
+    with pytest.raises(ValidationError, match="factors must be an iterable of Factor, got int"):
+        GroupSpec(5)
+
+
+def test_element_rejects_a_container_that_is_not_iterable():
+    with pytest.raises(ValidationError, match="syllables must be an iterable of pairs, got int"):
+        FREE.element(5)
+
+    def syllables():  # an error raised while walking the syllables is not rewritten
+        yield (0, 1)
+        raise TypeError("from inside the walk")
+
+    with pytest.raises(TypeError, match="from inside the walk"):
+        FREE.element(syllables())

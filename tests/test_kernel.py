@@ -226,3 +226,8 @@ def test_explicit_kernel_rejects_a_generator_that_is_not_a_ring_element():
 def test_hermite_normal_form_rejects_a_row_that_is_not_a_list():
     with pytest.raises(ValidationError, match="rows must be integer lists"):
         hermite_normal_form([5])
+
+
+def test_explicit_kernel_rejects_a_container_that_is_not_iterable():
+    with pytest.raises(ValidationError, match="generators must be an iterable of ring elements, got int"):
+        ExplicitKernel(5)

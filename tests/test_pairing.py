@@ -112,3 +112,25 @@ def test_spin_inverse_cancels():
 def test_dax_value_rejects_a_point_that_is_not_a_pair():
     with pytest.raises(ValidationError, match=r"points\[0\]: point must be a \(sign, element\) pair"):
         dax_value([(1, T, 3)], SPEC)
+
+
+def test_dax_value_walks_a_one_shot_iterator_once():
+    value = dax_value(iter([(1, T), (1, ONE), (-1, A)]), SPEC)
+    assert value.value == monomial(T, 1) + monomial(A, -1)
+    assert value.dropped == 1
+
+
+def test_spin_composition_value_walks_a_one_shot_iterator_once():
+    assert spin_composition_value(iter([(1, T), (1, A)]), SPEC) == monomial(T, 1) + monomial(A, 1)
+    with pytest.raises(ValidationError, match=r"spins\[1\]: spin element must be nontrivial"):
+        spin_composition_value(iter([(1, T), (1, ONE)]), SPEC)
+
+
+def test_dax_value_rejects_a_container_that_is_not_iterable():
+    with pytest.raises(ValidationError, match="points must be an iterable of pairs, got int"):
+        dax_value(5, SPEC)
+
+
+def test_spin_composition_value_rejects_a_container_that_is_not_iterable():
+    with pytest.raises(ValidationError, match="spins must be an iterable of pairs, got int"):
+        spin_composition_value(5, SPEC)
