@@ -61,6 +61,8 @@ class ManifoldModel:
             raise ValidationError(f"manifold group must be a GroupSpec, got {type(self.group).__name__}")
         if not isinstance(self.kernel, KernelSpec):
             raise ValidationError(f"manifold kernel must be a kernel spec, got {type(self.kernel).__name__}")
+        if not isinstance(self.label, str):
+            raise ValidationError(f"manifold label must be a string, got {type(self.label).__name__}")
         gens = self.kernel.generators if isinstance(self.kernel, ExplicitKernel) else ()
         if gens and gens[0].spec != self.group:  # ExplicitKernel holds all to one spec
             raise ValidationError("kernel generators[0] is not over the manifold group")

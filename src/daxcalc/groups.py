@@ -101,7 +101,7 @@ class GroupSpec:
             exp = self._normalize_exponent(index, exp)
             if exp != 0:
                 stack.append((index, exp))
-        return GroupElement(self, tuple(stack))
+        return GroupElement._trusted(self, tuple(stack))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -131,6 +131,14 @@ class GroupElement:
                 prev = index
         except (TypeError, ValueError):  # an entry that is not a pair
             raise ValidationError("syllables must be (factor index, exponent) pairs") from None
+
+    @classmethod
+    def _trusted(cls, spec: GroupSpec, syllables: tuple[tuple[int, int], ...]) -> "GroupElement":
+        """Wrap a reduced word whose every syllable was checked already; skips __post_init__."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "spec", spec)
+        object.__setattr__(g, "syllables", syllables)
+        return g
 
     @property
     def is_identity(self) -> bool:

@@ -23,7 +23,6 @@ follow the inverse-pair pattern are out of scope.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -54,10 +53,12 @@ class InversePairsKernel:
     """
 
     def reduce(self, x: RingElement) -> RingElement:
-        folded = Counter()
-        for g, c in x.items():
-            folded[min(g, ~g, key=canonical_key)] += c
-        return RingElement.from_mapping(x.spec, folded)
+        folded = {}  # representative -> [its canonical key, summed coefficient]
+        for g, c in x.items():  # min compares the elements only on a tie, where g == ~g
+            key, rep = min((canonical_key(g), g), (canonical_key(inv := ~g), inv))
+            folded.setdefault(rep, [key, 0])[1] += c
+        terms = sorted((key, rep, c) for rep, (key, c) in folded.items() if c)  # distinct keys: no element compares
+        return RingElement._trusted(x.spec, tuple((rep, c) for _, rep, c in terms))
 
     def describe(self) -> str:
         return "inverse_pairs"

@@ -23,45 +23,42 @@ class DaxValue(NamedTuple):
     dropped: int
 
 
-def dax_value(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> DaxValue:
-    """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
+def _signed_sum(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec, name: str) -> tuple[Counter, list[int]]:
+    """Signed sum of the nontrivial loops and the indices of the identity ones; errors say name[i]."""
     try:
         points = iter(points)
     except TypeError:
-        raise ValidationError(f"points must be an iterable of pairs, got {type(points).__name__}") from None
-    total = Counter()
-    dropped = 0
+        raise ValidationError(f"{name} must be an iterable of pairs, got {type(points).__name__}") from None
+    total, dropped = Counter(), []
     for i, point in enumerate(points):
         try:
             sign, loop = point
         except (TypeError, ValueError):
-            raise ValidationError(f"points[{i}]: point must be a (sign, element) pair") from None
+            raise ValidationError(f"{name}[{i}]: point must be a (sign, element) pair") from None
         if type(sign) is not int or sign not in (1, -1):
-            raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
+            raise ValidationError(f"{name}[{i}]: sign must be +1 or -1, got {sign}")
         if not isinstance(loop, GroupElement) or loop.spec != spec:
-            raise ValidationError(f"points[{i}]: element is not over the given group spec")
+            raise ValidationError(f"{name}[{i}]: element is not over the given group spec")
         if loop.is_identity:
-            dropped += 1
+            dropped.append(i)
         else:
             total[loop] += sign
-    return DaxValue(RingElement.from_mapping(spec, total), dropped)
+    return total, dropped
 
 
-def spin_composition_value(
-    spins: Sequence[tuple[int, GroupElement]], spec: GroupSpec
-) -> RingElement:
+def dax_value(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> DaxValue:
+    """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
+    total, dropped = _signed_sum(points, spec, "points")
+    return DaxValue(RingElement.from_mapping(spec, total), len(dropped))
+
+
+def spin_composition_value(spins: Sequence[tuple[int, GroupElement]], spec: GroupSpec) -> RingElement:
     """Value of a composition of spin maps; order never matters, spins commute.
 
     Trivial spin entries contribute nothing and are rejected to force the
     caller to be explicit.
     """
-    try:
-        spins = iter(spins)
-    except TypeError:
-        raise ValidationError(f"spins must be an iterable of pairs, got {type(spins).__name__}") from None
-    spins = tuple(spins)  # one walk of the input: dax_value and the trivial check read the copy
-    value = dax_value(spins, spec).value
-    for i, (_, g) in enumerate(spins):
-        if g.is_identity:
-            raise ValidationError(f"spins[{i}]: spin element must be nontrivial")
-    return value
+    total, dropped = _signed_sum(spins, spec, "spins")
+    if dropped:
+        raise ValidationError(f"spins[{dropped[0]}]: spin element must be nontrivial")
+    return RingElement.from_mapping(spec, total)

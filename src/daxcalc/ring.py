@@ -46,6 +46,14 @@ class RingElement:
             raise ValidationError("terms must be strictly sorted in canonical order")
 
     @classmethod
+    def _trusted(cls, spec: GroupSpec, terms: tuple[tuple[GroupElement, int], ...]) -> "RingElement":
+        """Wrap terms already checked and strictly sorted in canonical order; skips __post_init__."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "spec", spec)
+        object.__setattr__(x, "terms", terms)
+        return x
+
+    @classmethod
     def zero(cls, spec: GroupSpec) -> "RingElement":
         return cls(spec, ())
 

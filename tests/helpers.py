@@ -13,6 +13,7 @@ instances the tests generate.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -286,12 +287,14 @@ def reference_phi(data, manifold) -> RingElement:
     return manifold.kernel.reduce(total)
 
 
-def _reference_check_points(points, spec: GroupSpec) -> None:
+# name is the one change from the verbatim copy: spin_composition_value names a
+# bad entry after its own parameter, spins[i]
+def _reference_check_points(points, spec: GroupSpec, name: str = "points") -> None:
     for i, (sign, loop) in enumerate(points):
         if isinstance(sign, bool) or sign not in (1, -1):
-            raise ValidationError(f"points[{i}]: sign must be +1 or -1, got {sign}")
+            raise ValidationError(f"{name}[{i}]: sign must be +1 or -1, got {sign}")
         if loop.spec != spec:
-            raise ValidationError(f"points[{i}]: element is not over the given group spec")
+            raise ValidationError(f"{name}[{i}]: element is not over the given group spec")
 
 
 def reference_dax_value(points, spec: GroupSpec) -> DaxValue:
@@ -308,7 +311,7 @@ def reference_dax_value(points, spec: GroupSpec) -> DaxValue:
 
 
 def reference_spin_composition_value(spins, spec: GroupSpec) -> RingElement:
-    _reference_check_points(spins, spec)
+    _reference_check_points(spins, spec, "spins")
     for i, (_, g) in enumerate(spins):
         if g.is_identity:
             raise ValidationError(f"spins[{i}]: spin element must be nontrivial")
@@ -451,3 +454,116 @@ def reference_mul(self: GroupElement, other: GroupElement) -> GroupElement:
     for index, exp in other.syllables:
         _reference_push(self.spec, stack, index, exp)
     return GroupElement(self.spec, tuple(stack))
+
+
+# The token parser of daxcalc.words from before well-formed text was read by
+# regular expressions alone: a scanner that makes one token per match, and a
+# parser that walks the tokens and builds the syllables.  Kept verbatim (only
+# the names changed) as the reference for the scanner differential tests.
+_REFERENCE_IDENTITY_TERM = (
+    "the identity word '1' is not a valid term: values live in the "
+    "group ring with the identity removed"
+)
+
+_ReferenceToken = tuple[str, object, int]  # (kind, value, position)
+
+# ASCII classes on purpose: \d would accept non-ASCII digits.  A whitespace run is
+# its own match; as a \s* prefix of each token it would take quadratic time.
+_REFERENCE_TOKEN = re.compile(r"\s+|(?P<op>[-*+^])|(?P<int>[0-9]+)|(?P<name>[A-Za-z0-9_]+)|(?P<bad>.)", re.S)
+
+
+def reference_scan(text: str) -> list[_ReferenceToken]:
+    """(kind, value, position) tokens, then ("end", None, end of the last token or 0)."""
+    tokens: list[_ReferenceToken] = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        kind, value, pos = match.lastgroup, match.group(), match.start()
+        if kind is None:
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError(f"integer literal of {len(value)} digits is too long", pos) from None
+        tokens.append((value if kind == "op" else kind, value, pos))
+    tokens.append(("end", None, len(text.rstrip())))
+    return tokens
+
+
+def _reference_parse_syllables(tokens: list[_ReferenceToken], i: int, spec: GroupSpec) -> tuple[list[tuple[int, int]], int]:
+    """Parse syllable ("*" syllable)* starting at token i."""
+    syllables: list[tuple[int, int]] = []
+    while True:
+        kind, name, pos = tokens[i]
+        if kind != "name":
+            raise ParseError("expected a factor name", pos)
+        try:
+            index = spec.index_of(name)
+        except ValidationError:
+            raise ParseError(f"unknown factor name {name!r}", pos) from None
+        i += 1
+        exp = 1
+        if tokens[i][0] == "^":
+            i += 1
+            sign = -1 if tokens[i][0] == "-" else 1
+            if tokens[i][0] in ("+", "-"):
+                i += 1
+            if tokens[i][0] != "int":
+                raise ParseError("expected an integer exponent after '^'", tokens[i][2])
+            exp = sign * tokens[i][1]
+            i += 1
+        syllables.append((index, exp))
+        if tokens[i][0] != "*":
+            return syllables, i
+        i += 1
+
+
+def reference_parse_word(text: str, spec: GroupSpec) -> GroupElement:
+    """Parse a word and return its reduced normal form; "1" is the identity."""
+    tokens = reference_scan(text)
+    if tokens[0][0] == "end":
+        raise ParseError("empty word", 0)
+    if tokens[0][0] == "int":
+        if tokens[0][1] == 1 and len(tokens) == 2:
+            return spec.identity()
+        raise ParseError("expected a factor name or the identity word '1'", tokens[0][2])
+    syllables, i = _reference_parse_syllables(tokens, 0, spec)
+    if tokens[i][0] != "end":
+        raise ParseError("unexpected trailing input", tokens[i][2])
+    return spec.element(syllables)
+
+
+def reference_parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
+    """Parse a signed sum of terms into a ring element, combining like terms."""
+    tokens = reference_scan(text)
+    if tokens[0][0] == "end":
+        raise ParseError("empty expression", 0)
+    if len(tokens) == 2 and tokens[0][0] == "int" and tokens[0][1] == 0:
+        return RingElement.zero(spec)
+    combined: dict[GroupElement, int] = {}
+    sign = -1 if tokens[0][0] == "-" else 1
+    i = 1 if sign < 0 else 0
+    while True:
+        coeff = 1
+        if tokens[i][0] == "int" and tokens[i + 1][0] == "*":
+            coeff = tokens[i][1]
+            i += 2
+        elif tokens[i][0] == "int" and tokens[i][1] != 1:
+            raise ParseError("an integer term must be followed by '*' and a word", tokens[i][2])
+        if tokens[i][0] == "int" and tokens[i][1] == 1:
+            raise ValidationError(_REFERENCE_IDENTITY_TERM)
+        syllables, i = _reference_parse_syllables(tokens, i, spec)
+        g = spec.element(syllables)
+        if g.is_identity:
+            raise ValidationError(
+                "term reduces to the identity, which is excluded from the group ring support"
+            )
+        combined[g] = combined.get(g, 0) + sign * coeff
+        if tokens[i][0] == "end":
+            break
+        if tokens[i][0] not in ("+", "-"):
+            raise ParseError("expected '+' or '-' between terms", tokens[i][2])
+        sign = -1 if tokens[i][0] == "-" else 1
+        i += 1
+    return RingElement.from_mapping(spec, combined)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from daxcalc import (
     GroupSpec,
     InversePairsKernel,
     ManifoldModel,
+    PRESET_IDS,
     ParseError,
     TrivialKernel,
     ValidationError,
@@ -111,6 +113,15 @@ def test_manifold_round_trip():
     for preset in ("boundary_connect_sum", "connect_sum", "simply_connected"):
         m = instantiate(preset)
         assert manifold_from_json(manifold_to_json(m)) == m
+
+
+def test_manifold_json_round_trips_every_preset_and_a_labelled_inline_manifold():
+    spec = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 5)))
+    kernel = ExplicitKernel((parse_ringexpr("t^2 - 3*t*a + b^-1", spec), parse_ringexpr("2*a", spec)))
+    manifolds = [instantiate(preset) for preset in PRESET_IDS] + [ManifoldModel(spec, kernel, "inline, labelled")]
+    for manifold in manifolds:
+        text = json.dumps(manifold_to_json(manifold))
+        assert manifold_from_json(load_json(text)) == manifold
 
 
 def test_manifold_kernel_parsed_over_declared_group():

@@ -205,3 +205,10 @@ def test_manifold_rejects_a_kernel_that_is_not_a_kernel_spec():
         ManifoldModel(SPEC, 5)
     with pytest.raises(ValidationError, match="manifold kernel must be a kernel spec, got GroupSpec"):
         ManifoldModel(SPEC, SPEC)
+
+
+@pytest.mark.parametrize("label, kind", [(5, "int"), (None, "NoneType"), (b"x", "bytes")])
+def test_manifold_rejects_a_label_that_is_not_a_string(label, kind):
+    with pytest.raises(ValidationError) as excinfo:
+        ManifoldModel(SPEC, TrivialKernel(), label)
+    assert str(excinfo.value) == f"manifold label must be a string, got {kind}"

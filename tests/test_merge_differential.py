@@ -1,5 +1,6 @@
 """Differential tests: the one-loop word merge and the one-sort normalize
-agree with their two-copy predecessors kept in helpers.
+agree with their two-copy predecessors kept in helpers, and every word the
+merge builds without the constructor's checks passes those checks.
 
 Each case compares the results, or the error class and message, on a
 fixed-seed corpus that includes cascading cancellations, unknown factor
@@ -28,6 +29,7 @@ from helpers import (
     random_srdata,
     random_two_torsion,
     reference_element,
+    reference_invert,
     reference_mul,
     reference_normalize,
 )
@@ -82,6 +84,35 @@ def test_mul_matches_the_reference():
             tail = GroupElement(spec, a.syllables[rng.randint(0, len(a.syllables)):])
             b = ~tail * random_element(rng, spec)
         assert outcome(a.__mul__, b) == outcome(reference_mul, a, b), (a, b)
+
+
+def finite_spec(rng: random.Random) -> GroupSpec:
+    spec = random_spec(rng)
+    if all(f.order is None for f in spec.factors):
+        i = rng.randrange(len(spec.factors))
+        factors = list(spec.factors)
+        factors[i] = Factor(factors[i].name, rng.choice((2, 3, 4, 6)))
+        spec = GroupSpec(tuple(factors))
+    return spec
+
+
+def checked(spec: GroupSpec, g: GroupElement) -> GroupElement:
+    """g rebuilt through the public constructor, which checks every syllable."""
+    assert type(g.syllables) is tuple and all(type(s) is tuple for s in g.syllables), g.syllables
+    return GroupElement(spec, g.syllables)
+
+
+def test_trusted_merge_output_passes_the_checking_constructor():
+    rng = random.Random(704)
+    for _ in range(CASES):
+        spec = finite_spec(rng)
+        syllables = [(rng.randrange(len(spec.factors)), rng.randint(-9, 9)) for _ in range(rng.randint(0, 10))]
+        g = spec.element(syllables)
+        assert checked(spec, g) == g == reference_element(spec, syllables), syllables
+        h = random_element(rng, spec, max_syllables=6)
+        for result in (g * h, h * g, ~g, g * ~g, g ** rng.randint(-3, 3)):
+            assert checked(spec, result) == result, (g, h)
+        assert (g * ~g).is_identity and ~g == reference_invert(g) and g * h == reference_mul(g, h)
 
 
 def random_hostile_srdata(rng: random.Random, spec: GroupSpec) -> SRData:

@@ -134,3 +134,25 @@ def test_dax_value_rejects_a_container_that_is_not_iterable():
 def test_spin_composition_value_rejects_a_container_that_is_not_iterable():
     with pytest.raises(ValidationError, match="spins must be an iterable of pairs, got int"):
         spin_composition_value(5, SPEC)
+
+
+FOREIGN = GroupSpec((Factor("z"),)).generator("z")
+
+
+@pytest.mark.parametrize(
+    "spins, message",
+    [
+        ([(1, T), (0, A)], "spins[1]: sign must be +1 or -1, got 0"),
+        ([(1, T), (1, A, 3)], "spins[1]: point must be a (sign, element) pair"),
+        ([(1, T), (-1, FOREIGN)], "spins[1]: element is not over the given group spec"),
+    ],
+)
+def test_spin_composition_value_names_a_bad_spin_after_its_parameter(spins, message):
+    with pytest.raises(ValidationError) as excinfo:
+        spin_composition_value(spins, SPEC)
+    assert str(excinfo.value) == message
+
+
+def test_a_bad_spin_is_reported_before_a_trivial_one():
+    with pytest.raises(ValidationError, match=r"spins\[1\]: sign must be \+1 or -1, got 2"):
+        spin_composition_value([(1, ONE), (2, T)], SPEC)

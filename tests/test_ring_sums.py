@@ -102,6 +102,8 @@ def test_ring_sums_match_the_per_term_references():
 
         x = random_ring_element(rng, spec, max_terms=6)
         assert outcome(InversePairsKernel().reduce, x) == outcome(reference_inverse_pairs_reduce, x)
+        folded = InversePairsKernel().reduce(x)  # built without the constructor's checks, so run them
+        assert type(folded.terms) is tuple and RingElement(spec, folded.terms) == folded
 
         coeff = rng.randint(-3, 3)
         assert outcome(monomial, g, coeff) == outcome(reference_monomial, g, coeff)

@@ -1,0 +1,128 @@
+"""Differential tests: the regular-expression parsers agree with the token parser.
+
+parse_word and parse_ringexpr read well-formed text with one fullmatch and
+one findall, and tokenize only the text they reject.  On a fixed-seed corpus
+of valid and malformed words and ring expressions they must return equal
+values, or raise the same exception class with the same message and
+position, as the token parser kept in helpers.  The malformed cases cover
+whitespace runs, "^"/"+"/"-" sign runs, digit-led names, non-ASCII letters
+and digits, and integer literals at and just past the interpreter's digit
+limit.
+"""
+
+import random
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from daxcalc import DaxError, Factor, GroupSpec, parse_ringexpr, parse_word
+
+from helpers import (
+    SCANNER_ALPHABET,
+    random_scanner_text,
+    reference_parse_ringexpr,
+    reference_parse_word,
+)
+
+# "_", "T9" and "x_2" stay unknown names
+SPEC = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 3), Factor("x_1")))
+NAMES = ("t", "a", "b", "x_1")
+LIMIT = sys.get_int_max_str_digits()
+SPACES = ("", "", "", " ", "  ", "\t", "\n", "\u2003", " " * 40)
+MALFORMED = (
+    " ", "   \t\n ", "\u2003\xa0", "\x1c",  # whitespace runs, ASCII and not
+    "^", "^^", "++", "--", "+-", "-+", "^-", "^+", "^--2", "*", "**", "* +",  # operator and sign runs
+    "9t", "0a", "12x_1", "3b^2", "_", "T9",  # digit-led and unknown names
+    "\u00e9", "\u00df", "\u0430", "\u0663", "\uff11", "\u00b2", "!", "(", "\x00",  # non-ASCII letters and digits, junk
+    "1", "0", "00", "01", "1*", "0*", "1*1", "3*1",  # identity and zero pieces
+)
+PARSERS = ((parse_word, reference_parse_word), (parse_ringexpr, reference_parse_ringexpr))
+
+
+def outcome(parser, text):
+    try:
+        return "value", parser(text, SPEC)
+    except DaxError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def check(text):
+    for parser, reference in PARSERS:
+        assert outcome(parser, text) == outcome(reference, text), (parser.__name__, text[:200])
+
+
+def literal(rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.02:
+        return "7" * LIMIT
+    if roll < 0.04:
+        return "7" * (LIMIT + 1)
+    return rng.choice(("0", "1", "2", "3", "5", "007", "12", "99999999999999999999"))
+
+
+def valid_word(rng: random.Random) -> str:
+    if rng.random() < 0.05:
+        return rng.choice(SPACES) + rng.choice(("1", "01", "001")) + rng.choice(SPACES)
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        part = "x_2" if rng.random() < 0.02 else rng.choice(NAMES)
+        if rng.random() < 0.6:
+            sign = rng.choice(("", "", "-", "+"))
+            part += rng.choice(SPACES) + "^" + rng.choice(SPACES) + sign + rng.choice(SPACES) + literal(rng)
+        parts.append(part)
+    joins = [rng.choice(SPACES) + "*" + rng.choice(SPACES) for _ in parts[1:]]
+    body = parts[0] + "".join(j + p for j, p in zip(joins, parts[1:]))
+    return rng.choice(SPACES) + body + rng.choice(SPACES)
+
+
+def valid_ringexpr(rng: random.Random) -> str:
+    if rng.random() < 0.05:
+        return rng.choice(SPACES) + rng.choice(("0", "00")) + rng.choice(SPACES)
+    text = rng.choice(("", "", "-")) + rng.choice(SPACES)
+    for k in range(rng.randint(1, 4)):
+        if k:
+            text += rng.choice(SPACES) + rng.choice("+-") + rng.choice(SPACES)
+        if rng.random() < 0.4:
+            text += literal(rng) + rng.choice(SPACES) + "*" + rng.choice(SPACES)
+        text += valid_word(rng).strip()
+    return text + rng.choice(SPACES)
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(text))
+        roll = rng.random()
+        if roll < 0.6:
+            text = text[:i] + rng.choice(MALFORMED) + text[i:]
+        elif roll < 0.8:
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice(SCANNER_ALPHABET) + text[i + 1 :]
+    return text
+
+
+def test_valid_text_matches_the_token_parser():
+    rng = random.Random(1101)
+    for _ in range(3000):
+        check(valid_word(rng))
+        check(valid_ringexpr(rng))
+
+
+def test_malformed_text_matches_the_token_parser():
+    rng = random.Random(1102)
+    for _ in range(3000):
+        check(mutate(rng, valid_word(rng)))
+        check(mutate(rng, valid_ringexpr(rng)))
+
+
+def test_scanner_alphabet_text_matches_the_token_parser():
+    rng = random.Random(1103)
+    for _ in range(4000):
+        check(random_scanner_text(rng))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(SCANNER_ALPHABET + list(MALFORMED)), max_size=14).map("".join))
+def test_pieces_match_the_token_parser_hypothesis(text):
+    check(text)
