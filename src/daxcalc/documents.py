@@ -129,7 +129,7 @@ def group_to_json(spec: GroupSpec) -> dict:
     return {"factors": factors}
 
 
-_KERNEL_PRESETS = {"trivial": TrivialKernel, "inverse_pairs": InversePairsKernel}
+_KERNEL_PRESETS = {kernel().describe(): kernel for kernel in (TrivialKernel, InversePairsKernel)}
 
 
 def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> KernelSpec:

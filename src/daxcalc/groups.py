@@ -118,6 +118,8 @@ class GroupElement:
     syllables: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.spec, GroupSpec):
+            raise ValidationError(f"element spec must be a GroupSpec, got {type(self.spec).__name__}")
         try:
             object.__setattr__(self, "syllables", tuple(map(tuple, self.syllables)))
             prev = None

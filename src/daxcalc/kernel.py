@@ -38,7 +38,7 @@ class TrivialKernel:
     """Zero kernel: the quotient is the group ring itself."""
 
     def reduce(self, x: RingElement) -> RingElement:
-        return x
+        return _ring_value(x)
 
     def describe(self) -> str:
         return "trivial"
@@ -54,11 +54,10 @@ class InversePairsKernel:
 
     def reduce(self, x: RingElement) -> RingElement:
         folded = {}  # representative -> [its canonical key, summed coefficient]
-        for g, c in x.items():  # min compares the elements only on a tie, where g == ~g
+        for g, c in _ring_value(x).items():  # min compares the elements only on a tie, where g == ~g
             key, rep = min((canonical_key(g), g), (canonical_key(inv := ~g), inv))
             folded.setdefault(rep, [key, 0])[1] += c
-        terms = sorted((key, rep, c) for rep, (key, c) in folded.items() if c)  # distinct keys: no element compares
-        return RingElement._trusted(x.spec, tuple((rep, c) for _, rep, c in terms))
+        return RingElement._trusted(x.spec, ((key, rep, c) for rep, (key, c) in folded.items()))
 
     def describe(self) -> str:
         return "inverse_pairs"
@@ -97,9 +96,9 @@ class ExplicitKernel:
 
     def reduce(self, x: RingElement) -> RingElement:
         if not self.generators:
-            return x
+            return _ring_value(x)
         # __post_init__ guarantees that all generators share one spec
-        if self.generators[0].spec != x.spec:
+        if self.generators[0].spec != _ring_value(x).spec:
             raise ValidationError("kernel generators use a different group spec")
         basis, index, rows = self._lattice
         hnf, pivots = hermite_normal_form(rows)
@@ -179,8 +178,15 @@ def _reduce_by_pivots(vec: list[int], pivots: Iterable[tuple[int, list[int]]]) -
     return vec
 
 
+def _ring_value(x: object, what: str = "reduced value") -> RingElement:
+    """x, once it is known to be a RingElement."""
+    if not isinstance(x, RingElement):
+        raise ValidationError(f"{what} must be a RingElement, got {type(x).__name__}")
+    return x
+
+
 def equal_mod_kernel(x: RingElement, y: RingElement, kernel: KernelSpec) -> bool:
     """True iff x and y represent the same coset of the kernel."""
-    if x.spec != y.spec:
+    if _ring_value(x, "compared value").spec != _ring_value(y, "compared value").spec:
         raise ValidationError("cannot compare ring elements over different group specs")
     return kernel.reduce(x - y).is_zero

@@ -6,13 +6,15 @@ identity element is excluded from the support by construction.  Only the
 additive structure is provided; ring multiplication is never needed.  A sum
 of many terms is collected in one dict and built once by from_mapping, so each
 value is validated once; `+` is for combining two values that already exist.
+Checked terms reach _trusted as unsorted (canonical key, element, coefficient)
+triples; it drops zeros and sorts, so only this module orders terms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 from .groups import GroupElement, GroupSpec, canonical_key
@@ -26,6 +28,8 @@ class RingElement:
     terms: tuple[tuple[GroupElement, int], ...]
 
     def __post_init__(self):
+        if not isinstance(self.spec, GroupSpec):
+            raise ValidationError(f"ring element spec must be a GroupSpec, got {type(self.spec).__name__}")
         try:
             object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
             keys = []
@@ -46,11 +50,11 @@ class RingElement:
             raise ValidationError("terms must be strictly sorted in canonical order")
 
     @classmethod
-    def _trusted(cls, spec: GroupSpec, terms: tuple[tuple[GroupElement, int], ...]) -> "RingElement":
-        """Wrap terms already checked and strictly sorted in canonical order; skips __post_init__."""
+    def _trusted(cls, spec: GroupSpec, keyed: Iterable[tuple[tuple, GroupElement, int]]) -> "RingElement":
+        """Sort checked (key, element, coefficient) triples, keys distinct, and drop zeros; skips __post_init__."""
         x = object.__new__(cls)
         object.__setattr__(x, "spec", spec)
-        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "terms", tuple((g, c) for _, g, c in sorted(t for t in keyed if t[2])))
         return x
 
     @classmethod

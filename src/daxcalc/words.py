@@ -12,9 +12,10 @@ longer digit run is a ParseError at its first digit.  Canonical output is
 produced by str() on GroupElement and RingElement; parse and str round-trip.
 
 Accept, then locate: one fullmatch of the grammar and one findall of the
-(name, sign, digits) syllables read well-formed text; only rejected text is
-tokenized, to find and name its first bad token.  Classes are ASCII, and no
-pattern has two optional whitespace runs side by side: rejection is linear.
+(name, sign, digits) syllables read well-formed text.  _locate alone raises
+errors; the only values it builds are the words of the terms it walks.
+Classes are ASCII, and no pattern has two optional whitespace runs side by
+side: rejection is linear.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ def _locate(text: str, spec: GroupSpec, ring: bool) -> NoReturn:
         if tokens[i][:2] == ("int", 1):
             raise ValidationError("the identity word '1' is not a valid term: "
                                   "values live in the group ring with the identity removed")
-        i = _walk_word(tokens, i, spec)
-        _sum_terms(text[pos : tokens[i][2]], spec)  # raises if the term reduces to the identity
+        start, i = tokens[i][2], _walk_word(tokens, i, spec)
+        if spec.element(_syllables(text[start : tokens[i][2]], spec)).is_identity:
+            raise ValidationError("term reduces to the identity, which is excluded from the group ring support")
         if tokens[i][0] not in ("+", "-"):
             raise ParseError("expected '+' or '-' between terms", tokens[i][2])
         i += 1
@@ -108,22 +110,17 @@ def parse_word(text: str, spec: GroupSpec) -> GroupElement:
     _locate(text, spec, ring=False)
 
 
-def _sum_terms(text: str, spec: GroupSpec) -> RingElement:
-    """Read every term of an accepted expression (KeyError/ValueError if unreadable), then build and sum."""
-    terms = [(int(sign + (coeff or "1")), _syllables(word, spec)) for sign, coeff, word in _TERM.findall(text)]
-    combined: dict[GroupElement, int] = {}
-    for coeff, syllables in terms:
-        if (g := spec.element(syllables)).is_identity:
-            raise ValidationError("term reduces to the identity, which is excluded from the group ring support")
-        combined[g] = combined.get(g, 0) + coeff
-    return RingElement.from_mapping(spec, combined)
-
-
 def parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
     """Parse a signed sum of terms into a ring element, combining like terms."""
     try:
         if _RINGEXPR.fullmatch(text):
-            return _sum_terms(text, spec)
+            combined: dict[GroupElement, int] = {}
+            for sign, coeff, word in _TERM.findall(text):
+                if (g := spec.element(_syllables(word, spec))).is_identity:
+                    break  # _locate names the error, or an earlier one
+                combined[g] = combined.get(g, 0) + int(sign + (coeff or "1"))
+            else:
+                return RingElement.from_mapping(spec, combined)
     except (KeyError, ValueError):  # an unknown name or an overlong literal
         pass
     _locate(text, spec, ring=True)

@@ -440,7 +440,12 @@ def reference_element(spec: GroupSpec, syllables) -> GroupElement:
 def _reference_push(spec: GroupSpec, stack: list[tuple[int, int]], index: int, exp: int) -> None:
     if stack and stack[-1][0] == index:
         exp += stack.pop()[1]
-    exp = spec._normalize_exponent(index, exp)
+    # the seed's GroupSpec._normalize_exponent, copied so that the reference
+    # does not share the exponent rule of the code it checks
+    if not 0 <= index < len(spec.factors):
+        raise ValidationError(f"factor index {index} out of range")
+    order = spec.factors[index].order
+    exp = exp % order if order is not None else exp
     if exp != 0:
         stack.append((index, exp))
 

@@ -334,3 +334,9 @@ def test_element_rejects_a_container_that_is_not_iterable():
 
     with pytest.raises(TypeError, match="from inside the walk"):
         FREE.element(syllables())
+
+
+@pytest.mark.parametrize("syllables", [((0, 1),), ()])
+def test_element_rejects_a_spec_that_is_not_a_group_spec(syllables):
+    with pytest.raises(ValidationError, match="element spec must be a GroupSpec, got int"):
+        GroupElement(5, syllables)

@@ -3,7 +3,9 @@
 The package has no runtime dependencies, so every absolute import must name
 a standard-library module.  No imported name may go unused: a name counts
 as used when it appears in the code, in a quoted annotation or in the
-module's `__all__`, which is how `__init__.py` re-exports.
+module's `__all__`, which is how `__init__.py` re-exports.  The reference
+implementations in `tests/helpers.py` read no private name of the package,
+so they cannot share a rule with the code they check.
 """
 
 import ast
@@ -99,3 +101,20 @@ def test_every_private_name_is_referenced():
     assert private
     unused = [f"{where} defines {name} but nothing references it" for name, where in private if name not in referenced]
     assert not unused, unused
+
+
+def test_helpers_read_no_private_package_name():
+    private = {
+        name
+        for path in MODULES
+        for name, _ in private_definitions(ast.parse(path.read_text(), str(path)))
+        if name.startswith("_") and not name.startswith("__")
+    }
+    helpers = Path(__file__).resolve().parent / "helpers.py"
+    tree = ast.parse(helpers.read_text(), str(helpers))
+    reads = [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    for node in imports(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("daxcalc"):
+            reads.extend((alias.name, node.lineno) for alias in node.names)
+    found = [f"helpers.py:{lineno} reads {name}" for name, lineno in reads if name in private]
+    assert not found, found

@@ -231,3 +231,18 @@ def test_hermite_normal_form_rejects_a_row_that_is_not_a_list():
 def test_explicit_kernel_rejects_a_container_that_is_not_iterable():
     with pytest.raises(ValidationError, match="generators must be an iterable of ring elements, got int"):
         ExplicitKernel(5)
+
+
+@pytest.mark.parametrize(
+    "kernel", [TrivialKernel(), InversePairsKernel(), ExplicitKernel(()), ExplicitKernel((monomial(T, 2),))],
+    ids=["trivial", "inverse_pairs", "explicit-empty", "explicit"],
+)
+def test_reduce_rejects_a_value_that_is_not_a_ring_element(kernel):
+    with pytest.raises(ValidationError, match="reduced value must be a RingElement, got int"):
+        kernel.reduce(5)
+
+
+@pytest.mark.parametrize("x, y", [(monomial(T, 1), 5), (5, monomial(T, 1))], ids=["second", "first"])
+def test_equal_mod_kernel_rejects_a_value_that_is_not_a_ring_element(x, y):
+    with pytest.raises(ValidationError, match="compared value must be a RingElement, got int"):
+        equal_mod_kernel(x, y, InversePairsKernel())

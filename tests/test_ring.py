@@ -161,3 +161,8 @@ def test_ring_arithmetic_with_an_int_is_a_type_error(op):
 def test_ring_element_rejects_a_term_that_is_not_a_pair(terms):
     with pytest.raises(ValidationError, match=r"terms must be \(group element, coefficient\) pairs"):
         RingElement(SPEC, terms)
+
+
+def test_ring_element_rejects_a_spec_that_is_not_a_group_spec():
+    with pytest.raises(ValidationError, match="ring element spec must be a GroupSpec, got int"):
+        RingElement(5, ())

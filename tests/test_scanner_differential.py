@@ -7,7 +7,8 @@ values, or raise the same exception class with the same message and
 position, as the token parser kept in helpers.  The malformed cases cover
 whitespace runs, "^"/"+"/"-" sign runs, digit-led names, non-ASCII letters
 and digits, and integer literals at and just past the interpreter's digit
-limit.
+limit.  A fixed list pins the order of the identity-term error against
+each parse error that can come before or after it.
 """
 
 import random
@@ -38,6 +39,21 @@ MALFORMED = (
     "1", "0", "00", "01", "1*", "0*", "1*1", "3*1",  # identity and zero pieces
 )
 PARSERS = ((parse_word, reference_parse_word), (parse_ringexpr, reference_parse_ringexpr))
+# each parse error with an identity term before it and after it
+IDENTITY_TERMS = ("t*t^-1", "1")
+ERROR_PIECES = (
+    (" + ", "q"),  # an unknown name
+    (" + ", "7" * (LIMIT + 1) + "*t"),  # a literal one digit past the limit
+    (" + ", "!"),  # a bad character
+    (" + ", "t^*a"),  # a bare "^"
+    (" ", "t"),  # no operator between terms
+)
+ERROR_ORDER = [
+    text
+    for identity in IDENTITY_TERMS
+    for join, piece in ERROR_PIECES
+    for text in (identity + join + piece, piece + join + identity)
+]
 
 
 def outcome(parser, text):
@@ -114,6 +130,11 @@ def test_malformed_text_matches_the_token_parser():
     for _ in range(3000):
         check(mutate(rng, valid_word(rng)))
         check(mutate(rng, valid_ringexpr(rng)))
+
+
+def test_identity_term_and_parse_error_come_in_the_token_parser_order():
+    for text in ERROR_ORDER:
+        check(text)
 
 
 def test_scanner_alphabet_text_matches_the_token_parser():
