@@ -1,8 +1,11 @@
-"""Error types shared across the calculator.
+"""Error types shared across the calculator, and the two argument guards.
 
 Parse errors carry a character position into the offending text; validation
 errors describe semantic problems (bad group data, mismatched specs, broken
-document schemas) and carry a field path when one exists.
+document schemas) and carry a field path when one exists.  Every library
+entry point checks its argument types through _require and _require_iter, so
+a wrong-typed argument ends in one ValidationError line of the form
+"<what>, got <type name>"; documents._expect keeps its own JSON type names.
 """
 
 from __future__ import annotations
@@ -26,3 +29,18 @@ class ValidationError(DaxError):
         if path is not None:
             message = f"{path}: {message}"
         super().__init__(message)
+
+
+def _require(value, types, what: str):
+    """value, once isinstance(value, types) holds; what states the rule."""
+    if isinstance(value, types):
+        return value
+    raise ValidationError(f"{what}, got {type(value).__name__}")
+
+
+def _require_iter(value, what: str):
+    """iter(value); an error raised later, while the iterator is walked, passes through."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(f"{what}, got {type(value).__name__}") from None

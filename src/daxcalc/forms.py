@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, _require
 from .groups import GroupElement, GroupSpec, canonical_key
 from .kernel import ExplicitKernel, KernelSpec
 
@@ -57,12 +57,9 @@ class ManifoldModel:
     label: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.group, GroupSpec):
-            raise ValidationError(f"manifold group must be a GroupSpec, got {type(self.group).__name__}")
-        if not isinstance(self.kernel, KernelSpec):
-            raise ValidationError(f"manifold kernel must be a kernel spec, got {type(self.kernel).__name__}")
-        if not isinstance(self.label, str):
-            raise ValidationError(f"manifold label must be a string, got {type(self.label).__name__}")
+        _require(self.group, GroupSpec, "manifold group must be a GroupSpec")
+        _require(self.kernel, KernelSpec, "manifold kernel must be a kernel spec")
+        _require(self.label, str, "manifold label must be a string")
         gens = self.kernel.generators if isinstance(self.kernel, ExplicitKernel) else ()
         if gens and gens[0].spec != self.group:  # ExplicitKernel holds all to one spec
             raise ValidationError("kernel generators[0] is not over the manifold group")
@@ -73,6 +70,8 @@ class ManifoldModel:
 
 def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     """Check the raw-data constraints; returns one message per violation."""
+    _require(data, SRData, "disc data must be an SRData")
+    _require(manifold, ManifoldModel, "manifold must be a ManifoldModel")
     problems: list[str] = []
     for i, tube in enumerate(data.double_tubes):
         if not isinstance(tube, GroupElement) or tube.spec != manifold.group:
@@ -99,6 +98,8 @@ def validate_or_raise(data: SRData, manifold: ManifoldModel) -> None:
 
 def concat(d1: SRData, d2: SRData) -> SRData:
     """List concatenation of the two presentations; no moves applied."""
+    _require(d1, SRData, "disc data must be an SRData")
+    _require(d2, SRData, "disc data must be an SRData")
     elements = d1.double_tubes + d2.double_tubes + tuple(g for _, g in d1.sr_discs + d2.sr_discs)
     if not all(isinstance(g, GroupElement) for g in elements):
         raise ValidationError("cannot concatenate disc data with entries that are not group elements")
@@ -130,7 +131,7 @@ def negate_data(data: SRData) -> SRData:
     gains a -1 self-referential disc on the same element, since two equal
     tubes merge into a single +1 disc.
     """
-    tubes = data.double_tubes
+    tubes = _require(data, SRData, "disc data must be an SRData").double_tubes
     discs = [(-sign, g) for sign, g in data.sr_discs]
     discs.extend((-1, t) for t in tubes)
     return SRData(tubes, tuple(discs))

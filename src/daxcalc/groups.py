@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, _require, _require_iter
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -44,10 +44,7 @@ class GroupSpec:
     factors: tuple[Factor, ...] = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "factors", tuple(self.factors))
-        except TypeError:
-            raise ValidationError(f"factors must be an iterable of Factor, got {type(self.factors).__name__}") from None
+        object.__setattr__(self, "factors", tuple(_require_iter(self.factors, "factors must be an iterable of Factor")))
         for i, f in enumerate(self.factors):
             if not isinstance(f, Factor):
                 raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
@@ -74,11 +71,7 @@ class GroupSpec:
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
         """Build the reduced word with the given syllables, merging as needed."""
-        try:
-            syllables = iter(syllables)
-        except TypeError:
-            raise ValidationError(f"syllables must be an iterable of pairs, got {type(syllables).__name__}") from None
-        return self._merge([], syllables)
+        return self._merge([], _require_iter(syllables, "syllables must be an iterable of pairs"))
 
     def _normalize_exponent(self, index: int, exp: int) -> int:
         if not 0 <= index < len(self.factors):
@@ -118,8 +111,7 @@ class GroupElement:
     syllables: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.spec, GroupSpec):
-            raise ValidationError(f"element spec must be a GroupSpec, got {type(self.spec).__name__}")
+        _require(self.spec, GroupSpec, "element spec must be a GroupSpec")
         try:
             object.__setattr__(self, "syllables", tuple(map(tuple, self.syllables)))
             prev = None
@@ -196,15 +188,13 @@ def canonical_key(g: GroupElement):
     Shorter words come first; ties break syllable by syllable on
     (factor index, |exponent|, sign) with positive exponents before negative.
     """
-    return (
-        len(g.syllables),
-        tuple((index, abs(exp), 0 if exp > 0 else 1) for index, exp in g.syllables),
-    )
+    syllables = _require(g, GroupElement, "element must be a GroupElement").syllables
+    return len(syllables), tuple((index, abs(exp), 0 if exp > 0 else 1) for index, exp in syllables)
 
 
 def compare_canonical(a: GroupElement, b: GroupElement) -> int:
     """Three-way comparison under the canonical order: -1, 0 or 1."""
+    ka, kb = canonical_key(a), canonical_key(b)  # each checks its element before .spec is read
     if a.spec != b.spec:
         raise ValidationError("cannot compare elements over different group specs")
-    ka, kb = canonical_key(a), canonical_key(b)
     return (ka > kb) - (ka < kb)

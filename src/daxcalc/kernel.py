@@ -28,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import Collection, Iterable, Union
 
-from .errors import ValidationError
+from .errors import ValidationError, _require, _require_iter
 from .groups import canonical_key
 from .ring import RingElement
 
@@ -70,10 +70,7 @@ class ExplicitKernel:
     generators: tuple[RingElement, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "generators", tuple(self.generators))
-        except TypeError:
-            raise ValidationError(f"generators must be an iterable of ring elements, got {type(self.generators).__name__}") from None
+        object.__setattr__(self, "generators", tuple(_require_iter(self.generators, "generators must be an iterable of ring elements")))
         for i, gen in enumerate(self.generators):
             if not isinstance(gen, RingElement):
                 raise ValidationError(f"generators[{i}]: kernel generator must be a ring element")
@@ -180,13 +177,11 @@ def _reduce_by_pivots(vec: list[int], pivots: Iterable[tuple[int, list[int]]]) -
 
 def _ring_value(x: object, what: str = "reduced value") -> RingElement:
     """x, once it is known to be a RingElement."""
-    if not isinstance(x, RingElement):
-        raise ValidationError(f"{what} must be a RingElement, got {type(x).__name__}")
-    return x
+    return _require(x, RingElement, f"{what} must be a RingElement")
 
 
 def equal_mod_kernel(x: RingElement, y: RingElement, kernel: KernelSpec) -> bool:
     """True iff x and y represent the same coset of the kernel."""
     if _ring_value(x, "compared value").spec != _ring_value(y, "compared value").spec:
         raise ValidationError("cannot compare ring elements over different group specs")
-    return kernel.reduce(x - y).is_zero
+    return _require(kernel, KernelSpec, "kernel must be a kernel spec").reduce(x - y).is_zero

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_iter
 from .groups import GroupElement, GroupSpec
 from .ring import RingElement
 
@@ -25,12 +25,8 @@ class DaxValue(NamedTuple):
 
 def _signed_sum(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec, name: str) -> tuple[Counter, list[int]]:
     """Signed sum of the nontrivial loops and the indices of the identity ones; errors say name[i]."""
-    try:
-        points = iter(points)
-    except TypeError:
-        raise ValidationError(f"{name} must be an iterable of pairs, got {type(points).__name__}") from None
     total, dropped = Counter(), []
-    for i, point in enumerate(points):
+    for i, point in enumerate(_require_iter(points, f"{name} must be an iterable of pairs")):
         try:
             sign, loop = point
         except (TypeError, ValueError):

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, _require
 from .groups import GroupElement, GroupSpec, canonical_key
 
 
@@ -28,8 +28,7 @@ class RingElement:
     terms: tuple[tuple[GroupElement, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.spec, GroupSpec):
-            raise ValidationError(f"ring element spec must be a GroupSpec, got {type(self.spec).__name__}")
+        _require(self.spec, GroupSpec, "ring element spec must be a GroupSpec")
         try:
             object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
             keys = []
@@ -63,7 +62,7 @@ class RingElement:
 
     @classmethod
     def from_mapping(cls, spec: GroupSpec, mapping: Mapping[GroupElement, int]) -> "RingElement":
-        items = sorted(mapping.items(), key=lambda item: canonical_key(item[0]))
+        items = sorted(_require(mapping, Mapping, "mapping must be a Mapping").items(), key=lambda item: canonical_key(item[0]))
         return cls(spec, tuple((g, c) for g, c in items if c != 0))
 
     @property
@@ -119,7 +118,7 @@ class RingElement:
 
 def monomial(g: GroupElement, coeff: int) -> RingElement:
     """The single-term combination coeff*g; coeff 0 gives zero."""
-    if coeff != 0 and g.is_identity:
+    if _require(g, GroupElement, "element must be a GroupElement").is_identity and coeff != 0:
         raise ValidationError("monomial requires a nontrivial group element")
     return RingElement.from_mapping(g.spec, {g: coeff})
 
@@ -128,6 +127,6 @@ def dax_sum(g: GroupElement, sign: int) -> RingElement:
     """The signed pair sign*(g + g^-1); for 2-torsion g this is sign*2g."""
     if type(sign) is not int or sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
-    if g.is_identity:
+    if _require(g, GroupElement, "element must be a GroupElement").is_identity:
         raise ValidationError("dax_sum is undefined on the identity element")
     return RingElement.from_mapping(g.spec, {h: sign * n for h, n in Counter((g, ~g)).items()})

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import NoReturn
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _require
 from .groups import GroupElement, GroupSpec
 from .ring import RingElement
 
@@ -102,6 +102,8 @@ def _syllables(word: str, spec: GroupSpec) -> list[tuple[int, int]]:
 
 def parse_word(text: str, spec: GroupSpec) -> GroupElement:
     """Parse a word and return its reduced normal form; "1" is the identity."""
+    _require(text, str, "text must be a string")
+    _require(spec, GroupSpec, "spec must be a GroupSpec")
     try:
         if match := _WORD.fullmatch(text):
             return spec.identity() if match[1] else spec.element(_syllables(text, spec))
@@ -112,6 +114,8 @@ def parse_word(text: str, spec: GroupSpec) -> GroupElement:
 
 def parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
     """Parse a signed sum of terms into a ring element, combining like terms."""
+    _require(text, str, "text must be a string")
+    _require(spec, GroupSpec, "spec must be a GroupSpec")
     try:
         if _RINGEXPR.fullmatch(text):
             combined: dict[GroupElement, int] = {}

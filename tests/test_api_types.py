@@ -1,0 +1,132 @@
+"""Every public entry point rejects a wrong-typed argument with one DaxError line.
+
+Each case starts from a valid call and puts object() in one argument slot.
+The cases cover every function in test_api's PINNED_FUNCTIONS and every
+public constructor and method that takes an argument, except the named
+exemptions; test_every_public_callable_is_swept_or_exempt keeps that list
+complete when the API grows.
+"""
+
+import inspect
+
+import pytest
+
+import daxcalc
+from daxcalc import (
+    DaxError,
+    ExplicitKernel,
+    Factor,
+    GroupElement,
+    GroupSpec,
+    InversePairsKernel,
+    ManifoldModel,
+    RingElement,
+    SRData,
+    TrivialKernel,
+    monomial,
+)
+
+from test_api import PINNED_CLASSES, PINNED_FUNCTIONS
+
+SPEC = GroupSpec((Factor("t"), Factor("a", 2)))
+T = SPEC.generator("t")
+A = SPEC.generator("a")
+X = monomial(T, 1)
+KERNEL = ExplicitKernel((monomial(T, 2),))
+MANIFOLD = ManifoldModel(SPEC, InversePairsKernel(), "label")
+D1 = SRData((A,), ((1, T),))
+D2 = SRData((), ((-1, T),))
+
+# qualified name -> (callable, a valid argument tuple)
+VALID_CALLS = {
+    "canonical_key": (daxcalc.canonical_key, (T,)),
+    "compare": (daxcalc.compare, (D1, D2, MANIFOLD)),
+    "compare_canonical": (daxcalc.compare_canonical, (T, A)),
+    "concat": (daxcalc.concat, (D1, D2)),
+    "dax_sum": (daxcalc.dax_sum, (T, 1)),
+    "dax_value": (daxcalc.dax_value, ([(1, T)], SPEC)),
+    "equal_mod_kernel": (daxcalc.equal_mod_kernel, (X, X, KERNEL)),
+    "hermite_normal_form": (daxcalc.hermite_normal_form, ([[2, 1]],)),
+    "instantiate": (daxcalc.instantiate, ("connect_sum",)),
+    "monomial": (daxcalc.monomial, (T, 1)),
+    "negate_data": (daxcalc.negate_data, (D1,)),
+    "normalize": (daxcalc.normalize, (D1, MANIFOLD)),
+    "parse_ringexpr": (daxcalc.parse_ringexpr, ("2*t - a", SPEC)),
+    "parse_word": (daxcalc.parse_word, ("t*a", SPEC)),
+    "phi": (daxcalc.phi, (D1, MANIFOLD)),
+    "spin_composition_value": (daxcalc.spin_composition_value, ([(1, T)], SPEC)),
+    "validate": (daxcalc.validate, (D1, MANIFOLD)),
+    "ExplicitKernel": (ExplicitKernel, ((monomial(T, 2),),)),
+    "ExplicitKernel.reduce": (KERNEL.reduce, (X,)),
+    "Factor": (Factor, ("b", 3)),
+    "GroupElement": (GroupElement, (SPEC, ((0, 1),))),
+    "GroupSpec": (GroupSpec, ((Factor("t"),),)),
+    "GroupSpec.element": (SPEC.element, ([(0, 1)],)),
+    "GroupSpec.generator": (SPEC.generator, ("t",)),
+    "GroupSpec.index_of": (SPEC.index_of, ("t",)),
+    "InversePairsKernel.reduce": (InversePairsKernel().reduce, (X,)),
+    "ManifoldModel": (ManifoldModel, (SPEC, TrivialKernel(), "label")),
+    "RingElement": (RingElement, (SPEC, ((T, 1),))),
+    "RingElement.from_mapping": (RingElement.from_mapping, (SPEC, {T: 1})),
+    "RingElement.zero": (RingElement.zero, (SPEC,)),
+    "SRData": (SRData, ((A,), ((1, T),))),
+    "TrivialKernel.reduce": (TrivialKernel().reduce, (X,)),
+}
+
+# public callables that may end in another error, and why
+OPERATOR = "an operator returns NotImplemented, and Python's protocol then raises TypeError"
+RECORD = "a plain record that checks nothing"
+EXCEPTION = "an exception class"
+EXEMPT = {
+    "GroupElement.__mul__": OPERATOR,
+    "GroupElement.__pow__": OPERATOR,
+    "RingElement.__add__": OPERATOR,
+    "RingElement.__sub__": OPERATOR,
+    "RingElement.coefficient": "a lookup: an object outside the support has coefficient 0",
+    "DaxValue": RECORD,
+    "Verdict": RECORD,
+    "DaxError": EXCEPTION,
+    "ParseError": EXCEPTION,
+    "ValidationError": EXCEPTION,
+}
+
+CASES = [(name, slot) for name, (_, args) in VALID_CALLS.items() for slot in range(len(args))]
+
+
+def public_callables_with_arguments():
+    """Qualified names of the public functions, constructors and methods that take an argument."""
+    found = [(name, getattr(daxcalc, name)) for name in PINNED_FUNCTIONS]
+    for class_name, (_, members) in PINNED_CLASSES.items():
+        cls = getattr(daxcalc, class_name)
+        found.append((class_name, cls))
+        found.extend((f"{class_name}.{m}", getattr(cls, m)) for m, pin in members.items() if pin != "attribute")
+    names = set()
+    for name, obj in found:
+        try:
+            params = [p for p in inspect.signature(obj).parameters if p != "self"]
+        except ValueError:  # a constructor inherited from a builtin, such as Exception's
+            params = ["args"]
+        if params:
+            names.add(name)
+    return names
+
+
+def test_every_public_callable_is_swept_or_exempt():
+    missing = public_callables_with_arguments() - VALID_CALLS.keys() - EXEMPT.keys()
+    assert not missing, sorted(missing)
+
+
+@pytest.mark.parametrize("name", VALID_CALLS)
+def test_the_starting_call_is_valid(name):
+    function, args = VALID_CALLS[name]
+    function(*args)
+
+
+@pytest.mark.parametrize("name, slot", CASES, ids=[f"{name}-{slot}" for name, slot in CASES])
+def test_a_wrong_typed_argument_raises_one_dax_error_line(name, slot):
+    function, args = VALID_CALLS[name]
+    args = list(args)
+    args[slot] = object()
+    with pytest.raises(DaxError) as excinfo:
+        function(*args)
+    assert "\n" not in str(excinfo.value)

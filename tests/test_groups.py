@@ -323,6 +323,13 @@ def test_group_spec_rejects_a_container_that_is_not_iterable():
     with pytest.raises(ValidationError, match="factors must be an iterable of Factor, got int"):
         GroupSpec(5)
 
+    def factors():  # an error raised while walking the factors is not rewritten
+        yield Factor("t")
+        raise TypeError("from inside the walk")
+
+    with pytest.raises(TypeError, match="from inside the walk"):
+        GroupSpec(factors())
+
 
 def test_element_rejects_a_container_that_is_not_iterable():
     with pytest.raises(ValidationError, match="syllables must be an iterable of pairs, got int"):

@@ -5,7 +5,9 @@ a standard-library module.  No imported name may go unused: a name counts
 as used when it appears in the code, in a quoted annotation or in the
 module's `__all__`, which is how `__init__.py` re-exports.  The reference
 implementations in `tests/helpers.py` read no private name of the package,
-so they cannot share a rule with the code they check.
+so they cannot share a rule with the code they check.  Only the guards in
+`errors.py` and `documents._expect` name a value's type in a message, so
+each argument-type rule is written once.
 """
 
 import ast
@@ -118,3 +120,29 @@ def test_helpers_read_no_private_package_name():
             reads.extend((alias.name, node.lineno) for alias in node.names)
     found = [f"helpers.py:{lineno} reads {name}" for name, lineno in reads if name in private]
     assert not found, found
+
+
+def type_name_reads(tree: ast.AST) -> list[int]:
+    """Lines that read type(x).__name__ or x.__class__.__name__."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__name__"
+        and (getattr(getattr(node.value, "func", None), "id", None) == "type" or getattr(node.value, "attr", None) == "__class__")
+    ]
+
+
+def test_only_the_guards_name_a_value_type():
+    found = []
+    for path in MODULES:
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            line
+            for node in ast.walk(tree)
+            if path.name == "documents.py" and isinstance(node, ast.FunctionDef) and node.name == "_expect"
+            for line in type_name_reads(node)
+        }
+        found += [f"{path.name}:{line}" for line in type_name_reads(tree) if line not in allowed]
+    assert not found, f"use errors._require or errors._require_iter: {found}"

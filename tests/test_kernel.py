@@ -232,6 +232,13 @@ def test_explicit_kernel_rejects_a_container_that_is_not_iterable():
     with pytest.raises(ValidationError, match="generators must be an iterable of ring elements, got int"):
         ExplicitKernel(5)
 
+    def generators():  # an error raised while walking the generators is not rewritten
+        yield monomial(T, 2)
+        raise TypeError("from inside the walk")
+
+    with pytest.raises(TypeError, match="from inside the walk"):
+        ExplicitKernel(generators())
+
 
 @pytest.mark.parametrize(
     "kernel", [TrivialKernel(), InversePairsKernel(), ExplicitKernel(()), ExplicitKernel((monomial(T, 2),))],
