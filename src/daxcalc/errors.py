@@ -2,10 +2,10 @@
 
 Parse errors carry a character position into the offending text; validation
 errors describe semantic problems (bad group data, mismatched specs, broken
-document schemas) and carry a field path when one exists.  Every library
-entry point checks its argument types through _require and _require_iter, so
-a wrong-typed argument ends in one ValidationError line of the form
-"<what>, got <type name>"; documents._expect keeps its own JSON type names.
+document schemas) and carry a field path when one exists.  Library entry
+points check an argument's type through _require (isinstance) or
+_require_iter (iter), the only places that write "<what>, got <type name>";
+documents._expect keeps its own JSON type names.
 """
 
 from __future__ import annotations
