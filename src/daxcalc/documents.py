@@ -74,15 +74,24 @@ def _object(value: Any, path: str, required: set, optional: set = frozenset()) -
     return data
 
 
-def _field(parse, value: Any, spec: GroupSpec, path: str):
-    """A string field parsed by parse_word or parse_ringexpr, errors prefixed by path."""
-    text = _expect(value, str, path)
+def _at(path: str, build, *args):
+    """build(*args), with any ParseError or ValidationError it raises re-raised under path."""
     try:
-        return parse(text, spec)
+        return build(*args)
     except ParseError as exc:
-        raise ParseError(f"{path}: {exc.args[0]}") from None
+        raise ParseError(f"{path}: {exc}") from None
     except ValidationError as exc:
         raise ValidationError(str(exc), path) from None
+
+
+def _list(value: Any, path: str, decode, *args) -> tuple:
+    """A list field, each entry decoded by decode(entry, *args, f"{path}[{i}]")."""
+    return tuple(decode(entry, *args, f"{path}[{i}]") for i, entry in enumerate(_expect(value, list, path)))
+
+
+def _field(value: Any, parse, spec: GroupSpec, path: str):
+    """A string field parsed by parse_word or parse_ringexpr, errors prefixed by path."""
+    return _at(path, parse, _expect(value, str, path), spec)
 
 
 def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
@@ -91,32 +100,27 @@ def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElem
     sign = _expect(data["sign"], int, f"{path}.sign")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be 1 or -1, got {sign}", f"{path}.sign")
-    return sign, _field(parse_word, data["word"], spec, f"{path}.word")
+    return sign, _field(data["word"], parse_word, spec, f"{path}.word")
 
 
 _FACTOR_KEYS = {"Z": {"type", "name"}, "Zn": {"type", "name", "n"}}
 
 
+def _factor_from_json(obj: Any, path: str) -> Factor:
+    data = _expect(obj, dict, path)
+    kind = _expect(data.get("type"), str, f"{path}.type")
+    if kind not in _FACTOR_KEYS:
+        raise ValidationError(f"unknown factor type {kind!r}; expected 'Z' or 'Zn'", f"{path}.type")
+    _object(data, path, _FACTOR_KEYS[kind])
+    order = _expect(data["n"], int, f"{path}.n") if "n" in data else None
+    name = _expect(data["name"], str, f"{path}.name")
+    return _at(path, Factor, name, order)
+
+
 def group_from_json(obj: Any, path: str = "group") -> GroupSpec:
     data = _object(obj, path, {"factors"})
-    factors = []
-    for i, entry in enumerate(_expect(data["factors"], list, f"{path}.factors")):
-        fpath = f"{path}.factors[{i}]"
-        fobj = _expect(entry, dict, fpath)
-        kind = _expect(fobj.get("type"), str, f"{fpath}.type")
-        if kind not in _FACTOR_KEYS:
-            raise ValidationError(f"unknown factor type {kind!r}; expected 'Z' or 'Zn'", f"{fpath}.type")
-        _object(fobj, fpath, _FACTOR_KEYS[kind])
-        order = _expect(fobj["n"], int, f"{fpath}.n") if "n" in fobj else None
-        name = _expect(fobj["name"], str, f"{fpath}.name")
-        try:
-            factors.append(Factor(name, order))
-        except ValidationError as exc:
-            raise ValidationError(str(exc), fpath) from None
-    try:
-        return GroupSpec(tuple(factors))
-    except ValidationError as exc:
-        raise ValidationError(str(exc), f"{path}.factors") from None
+    factors = _list(data["factors"], f"{path}.factors", _factor_from_json)
+    return _at(f"{path}.factors", GroupSpec, factors)
 
 
 def group_to_json(spec: GroupSpec) -> dict:
@@ -132,6 +136,14 @@ def group_to_json(spec: GroupSpec) -> dict:
 _KERNEL_PRESETS = {kernel().describe(): kernel for kernel in (TrivialKernel, InversePairsKernel)}
 
 
+def _generator(value: Any, spec: GroupSpec, path: str) -> RingElement:
+    """A kernel generator, rejected here when zero, before any later entry is parsed."""
+    gen = _field(value, parse_ringexpr, spec, path)
+    if gen.is_zero:
+        raise ValidationError("kernel generator must be nonzero", path)
+    return gen
+
+
 def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> KernelSpec:
     data = _expect(obj, dict, path)
     if "preset" in data:
@@ -143,14 +155,7 @@ def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> Ker
         return _KERNEL_PRESETS[name]()
     if "generators" in data:
         _object(data, path, {"generators"})
-        generators = []
-        for i, entry in enumerate(_expect(data["generators"], list, f"{path}.generators")):
-            gpath = f"{path}.generators[{i}]"
-            gen = _field(parse_ringexpr, entry, spec, gpath)
-            if gen.is_zero:
-                raise ValidationError("kernel generator must be nonzero", gpath)
-            generators.append(gen)
-        return ExplicitKernel(tuple(generators))
+        return ExplicitKernel(_list(data["generators"], f"{path}.generators", _generator, spec))
     raise ValidationError("kernel needs either a 'preset' or a 'generators' key", path)
 
 
@@ -180,11 +185,9 @@ def manifold_to_json(manifold: ManifoldModel) -> dict:
 
 def disc_from_json(obj: Any, spec: GroupSpec, path: str = "disc") -> SRData:
     data = _object(obj, path, set(), {"double_tubes", "sr_discs"})
-    tubes = []
-    for i, entry in enumerate(_expect(data.get("double_tubes", []), list, f"{path}.double_tubes")):
-        tubes.append(_field(parse_word, entry, spec, f"{path}.double_tubes[{i}]"))
+    tubes = _list(data.get("double_tubes", []), f"{path}.double_tubes", _field, parse_word, spec)
     discs = points_from_json(data.get("sr_discs", []), spec, f"{path}.sr_discs")
-    return SRData(tuple(tubes), discs)
+    return SRData(tubes, discs)
 
 
 def disc_to_json(data: SRData) -> dict:
@@ -195,12 +198,8 @@ def disc_to_json(data: SRData) -> dict:
 
 
 def points_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
-    """A list of signed words: double points, or the sr_discs of disc data."""
-    points = []
-    for i, entry in enumerate(_expect(obj, list, path)):
-        # identity loops are legal here; evaluation filters them out
-        points.append(_signed_word(entry, spec, f"{path}[{i}]"))
-    return tuple(points)
+    """A list of signed words: double points, or sr_discs; identity loops pass, evaluation drops them."""
+    return _list(obj, path, _signed_word, spec)
 
 
 def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
@@ -239,13 +238,12 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Qu
         return Query(kind, disc_name(data["disc"], f"{path}.disc"))
     if kind == "compare":
         _object(data, path, {"kind", "discs"})
-        pair = _expect(data["discs"], list, f"{path}.discs")
-        if len(pair) != 2:
+        if len(_expect(data["discs"], list, f"{path}.discs")) != 2:
             raise ValidationError("compare takes exactly two disc names", f"{path}.discs")
-        return Query(kind, tuple(disc_name(n, f"{path}.discs[{i}]") for i, n in enumerate(pair)))
+        return Query(kind, _list(data["discs"], f"{path}.discs", disc_name))
     if kind == "reduce":
         _object(data, path, {"kind", "element"})
-        return Query(kind, _field(parse_ringexpr, data["element"], spec, f"{path}.element"))
+        return Query(kind, _field(data["element"], parse_ringexpr, spec, f"{path}.element"))
     if kind == "pairing":
         _object(data, path, {"kind", "points"})
         return Query(kind, points_from_json(data["points"], spec, f"{path}.points"))
@@ -254,21 +252,15 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Qu
 
 def session_from_json(obj: Any, path: str = "session") -> SessionDocument:
     data = _object(obj, path, {"manifold"}, {"discs", "queries"})
-    raw_manifold = data["manifold"]
-    if isinstance(raw_manifold, str):
-        try:
-            manifold = instantiate(raw_manifold)
-        except ValidationError as exc:
-            raise ValidationError(str(exc), f"{path}.manifold") from None
+    if isinstance(data["manifold"], str):
+        manifold = _at(f"{path}.manifold", instantiate, data["manifold"])
     else:
-        manifold = manifold_from_json(raw_manifold, f"{path}.manifold")
+        manifold = manifold_from_json(data["manifold"], f"{path}.manifold")
     discs: dict[str, SRData] = {}
     for name, entry in _expect(data.get("discs", {}), dict, f"{path}.discs").items():
         discs[name] = disc_from_json(entry, manifold.group, f"{path}.discs.{name}")
-    queries = []
-    for i, entry in enumerate(_expect(data.get("queries", []), list, f"{path}.queries")):
-        queries.append(_query_from_json(entry, discs, manifold.group, f"{path}.queries[{i}]"))
-    return SessionDocument(manifold, discs, tuple(queries))
+    queries = _list(data.get("queries", []), f"{path}.queries", _query_from_json, discs, manifold.group)
+    return SessionDocument(manifold, discs, queries)
 
 
 def execute(doc: SessionDocument) -> list[dict]:
