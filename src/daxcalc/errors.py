@@ -5,7 +5,8 @@ errors describe semantic problems (bad group data, mismatched specs, broken
 document schemas) and carry a field path when one exists.  Library entry
 points check an argument's type through _require (isinstance) or
 _require_iter (iter), the only places that write "<what>, got <type name>";
-documents._expect keeps its own JSON type names.
+documents._expect keeps its own JSON type names.  Constructors whose message
+names no type use _iterate, iter with that exact message.
 """
 
 from __future__ import annotations
@@ -44,3 +45,11 @@ def _require_iter(value, what: str):
         return iter(value)
     except TypeError:
         raise ValidationError(f"{what}, got {type(value).__name__}") from None
+
+
+def _iterate(value, message: str):
+    """iter(value), else ValidationError(message); errors raised while it is walked pass through."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValidationError(message) from None

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ValidationError, _require
+from .errors import ValidationError, _iterate, _require
 from .groups import GroupElement, GroupSpec, canonical_key
 from .kernel import ExplicitKernel, KernelSpec
 
@@ -33,11 +33,9 @@ class SRData:
     sr_discs: tuple[tuple[int, GroupElement], ...] = ()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "double_tubes", tuple(self.double_tubes))
-            discs = tuple(self.sr_discs)
-        except TypeError:
-            raise ValidationError("double_tubes and sr_discs must be sequences") from None
+        what = "double_tubes and sr_discs must be sequences"
+        object.__setattr__(self, "double_tubes", tuple(_iterate(self.double_tubes, what)))
+        discs = tuple(_iterate(self.sr_discs, what))
         for j, disc in enumerate(discs):
             if not isinstance(disc, (tuple, list)) or len(disc) != 2:
                 raise ValidationError(f"sr_discs[{j}]: disc must be a (sign, element) pair")

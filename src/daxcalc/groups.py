@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .errors import ValidationError, _require, _require_iter
+from .errors import ValidationError, _iterate, _require, _require_iter
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -112,8 +112,10 @@ class GroupElement:
 
     def __post_init__(self):
         _require(self.spec, GroupSpec, "element spec must be a GroupSpec")
+        what = "syllables must be (factor index, exponent) pairs"
+        entries = tuple(_iterate(self.syllables, what))  # outside the try: the caller's own TypeError passes
         try:
-            object.__setattr__(self, "syllables", tuple(map(tuple, self.syllables)))
+            object.__setattr__(self, "syllables", tuple(map(tuple, entries)))
             prev = None
             for index, exp in self.syllables:
                 if type(index) is not int:
@@ -124,7 +126,7 @@ class GroupElement:
                     raise ValidationError("adjacent syllables must use distinct factors")
                 prev = index
         except (TypeError, ValueError):  # an entry that is not a pair
-            raise ValidationError("syllables must be (factor index, exponent) pairs") from None
+            raise ValidationError(what) from None
 
     @classmethod
     def _trusted(cls, spec: GroupSpec, syllables: tuple[tuple[int, int], ...]) -> "GroupElement":

@@ -28,7 +28,7 @@ from functools import cached_property
 from math import gcd
 from typing import Collection, Iterable, Union
 
-from .errors import ValidationError, _require, _require_iter
+from .errors import ValidationError, _iterate, _require, _require_iter
 from .groups import canonical_key
 from .ring import RingElement
 
@@ -122,10 +122,8 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
     positions.  Pivots are positive, strictly ordered by column, entries above
     a pivot lie in [0, pivot), and the rows span the same lattice as the input.
     """
-    try:
-        mat = [list(row) for row in rows]
-    except TypeError:
-        raise ValidationError("rows must be integer lists") from None
+    what = "rows must be integer lists"
+    mat = [list(_iterate(row, what)) for row in _iterate(rows, what)]
     n_cols = len(mat[0]) if mat else 0
     if any(len(row) != n_cols or not all(type(a) is int for a in row) for row in mat):
         raise ValidationError(f"rows must be integer lists as long as rows[0] ({n_cols})")

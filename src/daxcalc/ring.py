@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError, _require
+from .errors import ValidationError, _iterate, _require
 from .groups import GroupElement, GroupSpec, canonical_key
 
 
@@ -29,8 +29,10 @@ class RingElement:
 
     def __post_init__(self):
         _require(self.spec, GroupSpec, "ring element spec must be a GroupSpec")
+        what = "terms must be (group element, coefficient) pairs"
+        entries = tuple(_iterate(self.terms, what))  # outside the try: the caller's own TypeError passes
         try:
-            object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
+            object.__setattr__(self, "terms", tuple(map(tuple, entries)))
             keys = []
             for g, coeff in self.terms:
                 if not isinstance(g, GroupElement):
@@ -43,7 +45,7 @@ class RingElement:
                     raise ValidationError(f"coefficient {coeff!r} must be a nonzero integer")
                 keys.append(canonical_key(g))
         except (TypeError, ValueError):  # an entry that is not a pair
-            raise ValidationError("terms must be (group element, coefficient) pairs") from None
+            raise ValidationError(what) from None
         # canonical_key is injective on reduced words: sorted and distinct = keys increase
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValidationError("terms must be strictly sorted in canonical order")

@@ -343,6 +343,18 @@ def test_element_rejects_a_container_that_is_not_iterable():
         FREE.element(syllables())
 
 
+def test_element_constructor_rejects_a_container_that_is_not_iterable():
+    with pytest.raises(ValidationError, match=r"^syllables must be \(factor index, exponent\) pairs$"):
+        GroupElement(FREE, 5)
+
+    def syllables():  # an error raised while walking the syllables is not rewritten
+        yield (0, 1)
+        raise TypeError("from inside the walk")
+
+    with pytest.raises(TypeError, match="from inside the walk"):
+        GroupElement(FREE, syllables())
+
+
 @pytest.mark.parametrize("syllables", [((0, 1),), ()])
 def test_element_rejects_a_spec_that_is_not_a_group_spec(syllables):
     with pytest.raises(ValidationError, match="element spec must be a GroupSpec, got int"):

@@ -226,6 +226,17 @@ def test_explicit_kernel_rejects_a_generator_that_is_not_a_ring_element():
 def test_hermite_normal_form_rejects_a_row_that_is_not_a_list():
     with pytest.raises(ValidationError, match="rows must be integer lists"):
         hermite_normal_form([5])
+    with pytest.raises(ValidationError, match="rows must be integer lists"):
+        hermite_normal_form(5)
+
+    def entries(first):  # an error raised while walking the rows or a row is not rewritten
+        yield first
+        raise TypeError("from inside the walk")
+
+    with pytest.raises(TypeError, match="from inside the walk"):
+        hermite_normal_form(entries([1, 2]))
+    with pytest.raises(TypeError, match="from inside the walk"):
+        hermite_normal_form([[1, 2], entries(3)])
 
 
 def test_explicit_kernel_rejects_a_container_that_is_not_iterable():
