@@ -259,6 +259,83 @@ def test_session_error_paths_point_into_document():
     assert "session.discs.d.sr_discs[0].sign" in str(excinfo.value)
 
 
+def _kernel(obj):
+    return kernel_from_json(obj, SPEC)
+
+
+def _disc(obj):
+    return disc_from_json(obj, SPEC)
+
+
+def _session(*queries):
+    return {"manifold": "connect_sum", "discs": {"d": {}}, "queries": list(queries)}
+
+
+Z_T = {"type": "Z", "name": "t"}
+SIGNED_T = {"sign": 1, "word": "t"}
+
+
+# (decoder, document, error type, full message, .path); a bad entry sits at index 1 after a good one
+ITEM_ERRORS = [
+    (group_from_json, {"factors": [Z_T, 5]}, ValidationError,
+     "group.factors[1]: expected an object, got int", "group.factors[1]"),
+    (group_from_json, {"factors": [Z_T, {"type": "Q", "name": "b"}]}, ValidationError,
+     "group.factors[1].type: unknown factor type 'Q'; expected 'Z' or 'Zn'", "group.factors[1].type"),
+    (group_from_json, {"factors": [Z_T, {"type": "Zn", "name": "a", "n": "2"}]}, ValidationError,
+     "group.factors[1].n: expected an integer, got str", "group.factors[1].n"),
+    (group_from_json, {"factors": [Z_T, {"type": "Zn", "name": "a", "n": 1}]}, ValidationError,
+     "group.factors[1]: finite factor 'a' must have order >= 2, got 1", "group.factors[1]"),
+    (group_from_json, {"factors": [Z_T, {"type": "Z", "name": 5}]}, ValidationError,
+     "group.factors[1].name: expected a string, got int", "group.factors[1].name"),
+    (group_from_json, {"factors": [Z_T, {"type": "Z", "name": "bad name"}]}, ValidationError,
+     "group.factors[1]: invalid factor name 'bad name'", "group.factors[1]"),
+    (group_from_json, {"factors": [Z_T, Z_T]}, ValidationError,
+     "group.factors: factor names must be pairwise distinct", "group.factors"),
+    (_kernel, {"generators": ["t", "t - t"]}, ValidationError,
+     "dax_kernel.generators[1]: kernel generator must be nonzero", "dax_kernel.generators[1]"),
+    (_kernel, {"generators": ["t", "t +"]}, ParseError,
+     "dax_kernel.generators[1]: expected a factor name (at position 3)", None),
+    (_kernel, {"generators": ["t", "1"]}, ValidationError,
+     "dax_kernel.generators[1]: the identity word '1' is not a valid term: values live in the group ring"
+     " with the identity removed", "dax_kernel.generators[1]"),
+    (_disc, {"double_tubes": ["t", 5]}, ValidationError,
+     "disc.double_tubes[1]: expected a string, got int", "disc.double_tubes[1]"),
+    (_disc, {"double_tubes": ["t", "z"]}, ParseError,
+     "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", None),
+    (_disc, {"sr_discs": [SIGNED_T, {"sign": 2, "word": "t"}]}, ValidationError,
+     "disc.sr_discs[1].sign: sign must be 1 or -1, got 2", "disc.sr_discs[1].sign"),
+    (_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t a a"}]}, ParseError,
+     "disc.sr_discs[1].word: unexpected trailing input (at position 2)", None),
+    (session_from_json, _session({"kind": "invariant", "disc": "d"}, 5), ValidationError,
+     "session.queries[1]: expected an object, got int", "session.queries[1]"),
+    (session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, 5]}), ValidationError,
+     "session.queries[0].points[1]: expected an object, got int", "session.queries[0].points[1]"),
+    (session_from_json, _session({"kind": "compare", "discs": ["d", "e"]}), ValidationError,
+     "session.queries[0].discs[1]: undeclared disc 'e'", "session.queries[0].discs[1]"),
+    (session_from_json, {"manifold": "nope"}, ValidationError,
+     "session.manifold: unknown preset 'nope'; available: boundary_connect_sum, connect_sum, simply_connected",
+     "session.manifold"),
+    # precedence: a zero generator is rejected before a later entry is parsed
+    (_kernel, {"generators": ["t - t", "t +"]}, ValidationError,
+     "dax_kernel.generators[0]: kernel generator must be nonzero", "dax_kernel.generators[0]"),
+    # precedence: compare's length check runs before any name is looked up
+    (session_from_json, _session({"kind": "compare", "discs": ["x", "y", "z"]}), ValidationError,
+     "session.queries[0].discs: compare takes exactly two disc names", "session.queries[0].discs"),
+]
+
+
+@pytest.mark.parametrize("decode, obj, error, message, path", ITEM_ERRORS, ids=[case[3].split(": ")[0] for case in ITEM_ERRORS])
+def test_item_errors_carry_the_full_field_path(decode, obj, error, message, path):
+    with pytest.raises(error) as excinfo:
+        decode(obj)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    if error is ParseError:  # a re-wrapped parse error keeps the position in its text only
+        assert excinfo.value.position is None
+    else:
+        assert excinfo.value.path == path
+
+
 def test_execute_matches_manifold_kernel_fuzz():
     rng = random.Random(62)
     for _ in range(50):

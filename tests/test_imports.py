@@ -7,7 +7,9 @@ module's `__all__`, which is how `__init__.py` re-exports.  The reference
 implementations in `tests/helpers.py` read no private name of the package,
 so they cannot share a rule with the code they check.  Only the guards in
 `errors.py` and `documents._expect` name a value's type in a message, so
-each argument-type rule is written once.
+each argument-type rule is written once.  Only `documents._at`, which puts a
+field path on an error, and `cli.main`, which prints it, catch the package's
+own errors, so no other place re-wraps them.
 """
 
 import ast
@@ -146,3 +148,29 @@ def test_only_the_guards_name_a_value_type():
         }
         found += [f"{path.name}:{line}" for line in type_name_reads(tree) if line not in allowed]
     assert not found, f"use errors._require or errors._require_iter: {found}"
+
+
+def caught_package_errors(tree: ast.AST) -> list[int]:
+    """Lines of except clauses that catch DaxError, ParseError or ValidationError."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(c, "id", None) in ("DaxError", "ParseError", "ValidationError") for c in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_at_and_main_catch_package_errors():
+    catchers = {("documents.py", "_at"), ("cli.py", "main")}
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            line
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) in catchers
+            for line in caught_package_errors(node)
+        }
+        found += [f"{path.name}:{line}" for line in caught_package_errors(tree) if line not in allowed]
+    assert not found, f"put a field path on an error through documents._at: {found}"
