@@ -1,9 +1,11 @@
 """JSON documents: groups, kernels, manifolds, discs, points and sessions.
 
 Schema errors raise ValidationError carrying a dotted field path; malformed
-JSON raises ParseError at the decoder's character offset.  Word and ring
-expression strings embedded in documents use the text grammar from words.py,
-with the field path prefixed onto any error they produce.
+JSON raises ParseError at the decoder's character offset.  Each list item's
+errors carry its index, as in "sr_discs[1].sign".  Word and ring expression
+strings embedded in documents use the text grammar from words.py, and a bad
+one reports both its field path and its character position, as in
+"sr_discs[1].word: unexpected trailing input (at position 2)".
 
 A session document bundles one manifold (preset id or inline object), a named
 map of discs and a list of queries:
