@@ -1,4 +1,4 @@
-"""Error types shared across the calculator, and the two argument guards.
+"""Error types shared across the calculator, and the argument guards.
 
 Parse errors carry a character position into the offending text; validation
 errors describe semantic problems (bad group data, mismatched specs, broken
