@@ -5,7 +5,8 @@ documents.execute, as `run` does, and print canonical-order text, one
 result per line, or JSON with --json.  Output on stdout is byte-identical
 across runs for identical inputs; --verbose writes extra context to stderr
 only.  Exit codes: 0 success, 1 parse error, 2 validation error (argparse
-usage errors also exit 2).
+usage errors also exit 2).  A subcommand is declared only in _COMMANDS, one
+row each, and every file is read through _read_json.
 """
 
 from __future__ import annotations
@@ -33,24 +34,15 @@ from .presets import PRESET_IDS, instantiate
 from .words import parse_ringexpr
 
 
-def _read_file(path: str) -> str:
+def _read_json(path: str):
+    """The JSON value in the UTF-8 file at path; every CLI file argument is read here."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return load_json(handle.read())
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not valid UTF-8") from None
-
-
-def _load_manifold(args: argparse.Namespace) -> ManifoldModel:
-    if args.preset is not None:
-        return instantiate(args.preset)
-    return manifold_from_json(load_json(_read_file(args.manifold)), "manifold")
-
-
-def _load_disc(path: str, manifold: ManifoldModel):
-    return disc_from_json(load_json(_read_file(path)), manifold.group, path)
 
 
 def _note(args: argparse.Namespace, message: str) -> None:
@@ -72,21 +64,22 @@ def _queries(args: argparse.Namespace, manifold: ManifoldModel) -> list[tuple[Qu
     if args.command == "reduce":
         return [(Query("reduce", parse_ringexpr(args.element, manifold.group)), [])]
     if args.command == "pairing":
-        points = point_document_from_json(
-            load_json(_read_file(args.points)), manifold.group, args.points
-        )
+        points = point_document_from_json(_read_json(args.points), manifold.group, args.points)
         return [(Query("pairing", points), [])]
     return [(Query(args.command, path), [path]) for path in args.disc]
 
 
 def _cmd_query(args: argparse.Namespace) -> None:
-    manifold = _load_manifold(args)
+    if args.preset is not None:
+        manifold = instantiate(args.preset)
+    else:
+        manifold = manifold_from_json(_read_json(args.manifold), "manifold")
     _note(args, f"manifold: {manifold.describe()}")
     results = []
     # Each query's files are decoded just before it runs, so with several bad
     # --disc files the first one in argument order decides the error.
     for query, paths in _queries(args, manifold):
-        discs = {path: _load_disc(path, manifold) for path in paths}
+        discs = {path: disc_from_json(_read_json(path), manifold.group, path) for path in paths}
         results.extend(execute(SessionDocument(manifold, discs, (query,))))
     for result in results:
         if "rule" in result:
@@ -108,31 +101,29 @@ def _cmd_presets(args: argparse.Namespace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    document = session_from_json(load_json(_read_file(args.session)), args.session)
+    document = session_from_json(_read_json(args.session), args.session)
     _note(args, f"manifold: {document.manifold.describe()}")
     results = execute(document)
     _emit(args, results, render_text(results))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument("--verbose", action="store_true", help="context notes on stderr")
-
-
 _DISC_FILES = ("--disc", dict(metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)"))
 
-# (name, help, arguments) of each subcommand that evaluates queries on a manifold
-_QUERY_COMMANDS = (
-    ("invariant", "invariant value of disc data", [_DISC_FILES]),
+# (name, help, arguments, handler) of each subcommand, in --help order; the
+# rows that _cmd_query runs also take --preset or --manifold
+_COMMANDS = (
+    ("invariant", "invariant value of disc data", [_DISC_FILES], _cmd_query),
     ("compare", "decide (non-)isotopy of two discs", [
         ("disc1", dict(metavar="DISC1", help="first disc JSON file")),
         ("disc2", dict(metavar="DISC2", help="second disc JSON file")),
-    ]),
+    ], _cmd_query),
     ("reduce", "reduce a ring expression modulo the kernel", [
         ("--element", dict(metavar="RINGEXPR", required=True, help="ring expression to reduce")),
-    ]),
-    ("normalize", "normal form of disc data", [_DISC_FILES]),
-    ("pairing", "signed sum over a double-point list", [("points", dict(metavar="POINTS", help="double-point list JSON file"))]),
+    ], _cmd_query),
+    ("normalize", "normal form of disc data", [_DISC_FILES], _cmd_query),
+    ("pairing", "signed sum over a double-point list", [("points", dict(metavar="POINTS", help="double-point list JSON file"))], _cmd_query),
+    ("presets", "list built-in manifolds", [], _cmd_presets),
+    ("run", "execute a session document", [("session", dict(metavar="SESSION", help="session JSON file"))], _cmd_run),
 )
 
 
@@ -143,24 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, arguments in _QUERY_COMMANDS:
+    for name, help_text, arguments, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--preset", choices=PRESET_IDS, help="built-in manifold id")
-        group.add_argument("--manifold", metavar="FILE", help="manifold JSON file")
+        if handler is _cmd_query:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--preset", choices=PRESET_IDS, help="built-in manifold id")
+            group.add_argument("--manifold", metavar="FILE", help="manifold JSON file")
         for flag, options in arguments:
             p.add_argument(flag, **options)
-        _add_common(p)
-        p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser("presets", help="list built-in manifolds")
-    _add_common(p)
-    p.set_defaults(func=_cmd_presets)
-
-    p = sub.add_parser("run", help="execute a session document")
-    p.add_argument("session", metavar="SESSION", help="session JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_run)
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.add_argument("--verbose", action="store_true", help="context notes on stderr")
+        p.set_defaults(func=handler)
 
     return parser
 

@@ -97,7 +97,7 @@ def _field(value: Any, parse, spec: GroupSpec, path: str):
 
 
 def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
-    """An object {"sign": 1 or -1, "word": WORD}, as in sr_discs and point lists."""
+    """An object {"sign": 1 or -1, "word": WORD} in sr_discs or a point list; evaluation drops identity loops."""
     data = _object(value, path, {"sign", "word"})
     sign = _expect(data["sign"], int, f"{path}.sign")
     if sign not in (1, -1):
@@ -188,7 +188,7 @@ def manifold_to_json(manifold: ManifoldModel) -> dict:
 def disc_from_json(obj: Any, spec: GroupSpec, path: str = "disc") -> SRData:
     data = _object(obj, path, set(), {"double_tubes", "sr_discs"})
     tubes = _list(data.get("double_tubes", []), f"{path}.double_tubes", _field, parse_word, spec)
-    discs = points_from_json(data.get("sr_discs", []), spec, f"{path}.sr_discs")
+    discs = _list(data.get("sr_discs", []), f"{path}.sr_discs", _signed_word, spec)
     return SRData(tubes, discs)
 
 
@@ -199,15 +199,10 @@ def disc_to_json(data: SRData) -> dict:
     }
 
 
-def points_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
-    """A list of signed words: double points, or sr_discs; identity loops pass, evaluation drops them."""
-    return _list(obj, path, _signed_word, spec)
-
-
 def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
     """The standalone file form {"points": [...]} used by the pairing command."""
     data = _object(obj, path, {"points"})
-    return points_from_json(data["points"], spec, f"{path}.points")
+    return _list(data["points"], f"{path}.points", _signed_word, spec)
 
 
 @dataclass(frozen=True)
@@ -248,7 +243,7 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Qu
         return Query(kind, _field(data["element"], parse_ringexpr, spec, f"{path}.element"))
     if kind == "pairing":
         _object(data, path, {"kind", "points"})
-        return Query(kind, points_from_json(data["points"], spec, f"{path}.points"))
+        return Query(kind, _list(data["points"], f"{path}.points", _signed_word, spec))
     raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
 
 

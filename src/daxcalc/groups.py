@@ -16,7 +16,8 @@ from typing import Iterable, Union
 
 from .errors import ValidationError, _iterate, _require, _require_iter
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"  # a factor name; words.py builds its word patterns from it
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ import re
 from typing import NoReturn
 
 from .errors import ParseError, ValidationError, _require
-from .groups import GroupElement, GroupSpec
+from .groups import _NAME, GroupElement, GroupSpec
 from .ring import RingElement
 
 _TOKEN = re.compile(r"\s+|(?P<op>[-*+^])|(?P<int>[0-9]+)|(?P<name>[A-Za-z0-9_]+)|(?P<bad>.)", re.S)
-_SYLLABLE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\s*\^\s*(?:([-+])\s*)?([0-9]+))?")
-_WORD_TEXT = r"{0}(?:\s*\*\s*{0})*".format(r"[A-Za-z_][A-Za-z0-9_]*(?:\s*\^\s*(?:[-+]\s*)?[0-9]+)?")
+_SYLLABLE = re.compile(rf"({_NAME})(?:\s*\^\s*(?:([-+])\s*)?([0-9]+))?")
+_WORD_TEXT = r"{0}(?:\s*\*\s*{0})*".format(rf"{_NAME}(?:\s*\^\s*(?:[-+]\s*)?[0-9]+)?")
 _WORD = re.compile(rf"\s*(?:0*(1)|{_WORD_TEXT})\s*")
 _TERM = re.compile(rf"(?:\A|([-+]))\s*(?:([0-9]+)\s*\*\s*)?({_WORD_TEXT})")
 _RINGEXPR = re.compile(r"\s*(?:0+|(?:-\s*)?{0}(?:\s*[-+]\s*{0})*)\s*".format(rf"(?:[0-9]+\s*\*\s*)?{_WORD_TEXT}"))

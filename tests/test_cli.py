@@ -180,6 +180,42 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+FILE_ROLES = {
+    "reduce-manifold": ["reduce", "--manifold", "{}", "--element", "t"],
+    "invariant-disc": ["invariant", "--preset", "boundary_connect_sum", "--disc", "{}"],
+    "pairing-points": ["pairing", "--preset", "boundary_connect_sum", "{}"],
+    "run-session": ["run", "{}"],
+}
+FILE_FAULTS = {
+    "missing": (2, "validation error: cannot read "),
+    "directory": (2, "validation error: cannot read "),
+    "not-utf8": (1, "parse error: "),
+    "broken-json": (1, "parse error: invalid JSON: "),
+}
+
+
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+@pytest.mark.parametrize("role", FILE_ROLES)
+def test_every_file_role_reports_a_bad_file_in_one_line(tmp_path, capsys, role, fault):
+    path = tmp_path / "input.json"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        path.write_bytes(b'{"label": "\xff"}')
+    elif fault == "broken-json":
+        path.write_text('{"points": [')
+    code = main([str(path) if arg == "{}" else arg for arg in FILE_ROLES[role]])
+    captured = capsys.readouterr()
+    expected_code, prefix = FILE_FAULTS[fault]
+    assert (code, captured.out) == (expected_code, "")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith(prefix)
+    if fault == "broken-json":
+        assert captured.err.endswith(" (at position 12)\n")
+    else:
+        assert str(path) in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["reduce", "--element", "t"]) == 2
     capsys.readouterr()
