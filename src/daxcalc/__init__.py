@@ -7,7 +7,7 @@ compare.  The command line lives in daxcalc.cli.
 
 from .engine import ISOTOPIC, NOT_ISOTOPIC, UNKNOWN, Verdict, compare, phi
 from .errors import DaxError, ParseError, ValidationError
-from .forms import ManifoldModel, SRData, concat, negate_data, normalize, validate
+from .forms import PRESET_IDS, ManifoldModel, SRData, concat, instantiate, negate_data, normalize, validate
 from .groups import Factor, GroupElement, GroupSpec, canonical_key, compare_canonical
 from .kernel import (
     ExplicitKernel,
@@ -18,7 +18,6 @@ from .kernel import (
     hermite_normal_form,
 )
 from .pairing import DaxValue, dax_value, spin_composition_value
-from .presets import PRESET_IDS, instantiate
 from .ring import RingElement, dax_sum, monomial
 from .words import parse_ringexpr, parse_word
 

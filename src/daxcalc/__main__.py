@@ -1,3 +1,3 @@
-from .cli import entry_point
+from .cli import main
 
-entry_point()
+raise SystemExit(main())

@@ -17,7 +17,6 @@ import sys
 from typing import Sequence
 
 from .documents import (
-    Query,
     SessionDocument,
     disc_from_json,
     execute,
@@ -29,8 +28,7 @@ from .documents import (
     session_from_json,
 )
 from .errors import ParseError, ValidationError
-from .forms import ManifoldModel
-from .presets import PRESET_IDS, instantiate
+from .forms import PRESET_IDS, ManifoldModel, instantiate
 from .words import parse_ringexpr
 
 
@@ -57,16 +55,16 @@ def _emit(args: argparse.Namespace, payload, lines: list[str]) -> None:
         sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _queries(args: argparse.Namespace, manifold: ManifoldModel) -> list[tuple[Query, list[str]]]:
-    """The session queries a subcommand asks, each with the disc files it reads."""
+def _queries(args: argparse.Namespace, manifold: ManifoldModel) -> list[tuple[tuple[str, object], list[str]]]:
+    """The (kind, value) session queries a subcommand asks, each with the disc files it reads."""
     if args.command == "compare":
-        return [(Query("compare", (args.disc1, args.disc2)), [args.disc1, args.disc2])]
+        return [(("compare", (args.disc1, args.disc2)), [args.disc1, args.disc2])]
     if args.command == "reduce":
-        return [(Query("reduce", parse_ringexpr(args.element, manifold.group)), [])]
+        return [(("reduce", parse_ringexpr(args.element, manifold.group)), [])]
     if args.command == "pairing":
         points = point_document_from_json(_read_json(args.points), manifold.group, args.points)
-        return [(Query("pairing", points), [])]
-    return [(Query(args.command, path), [path]) for path in args.disc]
+        return [(("pairing", points), [])]
+    return [((args.command, path), [path]) for path in args.disc]
 
 
 def _cmd_query(args: argparse.Namespace) -> None:
@@ -164,7 +162,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def entry_point() -> None:
-    raise SystemExit(main(sys.argv[1:]))

@@ -31,11 +31,10 @@ from typing import Any
 
 from .engine import compare, phi
 from .errors import ParseError, ValidationError
-from .forms import ManifoldModel, SRData, normalize
+from .forms import ManifoldModel, SRData, instantiate, normalize
 from .groups import Factor, GroupElement, GroupSpec
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 from .pairing import dax_value
-from .presets import instantiate
 from .ring import RingElement
 from .words import parse_ringexpr, parse_word
 
@@ -206,21 +205,15 @@ def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") ->
 
 
 @dataclass(frozen=True)
-class Query:
-    """One session query: its kind and the decoded value of that kind's one field."""
-
-    kind: str
-    value: str | tuple[str, str] | RingElement | PointList  # disc, discs, element or points
-
-
-@dataclass(frozen=True)
 class SessionDocument:
     manifold: ManifoldModel
     discs: dict[str, SRData]
-    queries: tuple[Query, ...]
+    # (kind, value) pairs; value decodes the kind's one field: a disc name,
+    # a pair of disc names, a RingElement or a PointList
+    queries: tuple[tuple[str, Any], ...]
 
 
-def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Query:
+def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> tuple[str, Any]:
     data = _expect(obj, dict, path)
     kind = _expect(data.get("kind"), str, f"{path}.kind")
 
@@ -232,18 +225,18 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> Qu
 
     if kind in ("invariant", "normalize"):
         _object(data, path, {"kind", "disc"})
-        return Query(kind, disc_name(data["disc"], f"{path}.disc"))
+        return kind, disc_name(data["disc"], f"{path}.disc")
     if kind == "compare":
         _object(data, path, {"kind", "discs"})
         if len(_expect(data["discs"], list, f"{path}.discs")) != 2:
             raise ValidationError("compare takes exactly two disc names", f"{path}.discs")
-        return Query(kind, _list(data["discs"], f"{path}.discs", disc_name))
+        return kind, _list(data["discs"], f"{path}.discs", disc_name)
     if kind == "reduce":
         _object(data, path, {"kind", "element"})
-        return Query(kind, _field(data["element"], parse_ringexpr, spec, f"{path}.element"))
+        return kind, _field(data["element"], parse_ringexpr, spec, f"{path}.element")
     if kind == "pairing":
         _object(data, path, {"kind", "points"})
-        return Query(kind, _list(data["points"], f"{path}.points", _signed_word, spec))
+        return kind, _list(data["points"], f"{path}.points", _signed_word, spec)
     raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
 
 
@@ -263,21 +256,21 @@ def session_from_json(obj: Any, path: str = "session") -> SessionDocument:
 def execute(doc: SessionDocument) -> list[dict]:
     """Evaluate the queries in declaration order; one result object each."""
     results = []
-    for query in doc.queries:
-        if query.kind == "invariant":
-            record = {"disc": query.value, "value": str(phi(doc.discs[query.value], doc.manifold))}
-        elif query.kind == "compare":
-            a, b = query.value
+    for kind, value in doc.queries:
+        if kind == "invariant":
+            record = {"disc": value, "value": str(phi(doc.discs[value], doc.manifold))}
+        elif kind == "compare":
+            a, b = value
             record = {"discs": [a, b], **vars(compare(doc.discs[a], doc.discs[b], doc.manifold))}
-        elif query.kind == "reduce":
-            record = {"value": str(doc.manifold.kernel.reduce(query.value))}
-        elif query.kind == "normalize":
-            normed = normalize(doc.discs[query.value], doc.manifold)
-            record = {"disc": query.value, "value": disc_to_json(normed)}
+        elif kind == "reduce":
+            record = {"value": str(doc.manifold.kernel.reduce(value))}
+        elif kind == "normalize":
+            normed = normalize(doc.discs[value], doc.manifold)
+            record = {"disc": value, "value": disc_to_json(normed)}
         else:
-            value = dax_value(query.value, doc.manifold.group)
-            record = {"value": str(value.value), "dropped": value.dropped}
-        results.append({"kind": query.kind, **record})
+            pairing = dax_value(value, doc.manifold.group)
+            record = {"value": str(pairing.value), "dropped": pairing.dropped}
+        results.append({"kind": kind, **record})
     return results
 
 

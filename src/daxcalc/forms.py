@@ -13,6 +13,13 @@ moves that do not change the isotopy class:
 
 Normalized data satisfies the distinctness and no-opposite-pair constraints
 and is a fixed point of normalize.
+
+Three built-in manifold models cover the worked examples: the boundary
+connect sum of S^2 x D^2 and S^1 x B^3 (infinite cyclic group, zero kernel),
+the interior connect sum of the same pieces (infinite cyclic group,
+inverse-pair kernel), and a simply connected manifold (trivial group, zero
+kernel).  Kernels for other manifolds are supplied by the user as explicit
+generator lists.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ValidationError, _iterate, _require
-from .groups import GroupElement, GroupSpec, canonical_key
-from .kernel import ExplicitKernel, KernelSpec
+from .groups import Factor, GroupElement, GroupSpec, canonical_key
+from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,35 @@ class ManifoldModel:
         return f"group: {self.group}  kernel: {self.kernel.describe()}"
 
 
+_T = GroupSpec((Factor("t"),))  # infinite cyclic, generated by t
+_PIECES = "S^2 x D^2 and S^1 x B^3"
+
+_PRESETS = {
+    "boundary_connect_sum": ManifoldModel(_T, TrivialKernel(), f"boundary connect sum of {_PIECES}"),
+    "connect_sum": ManifoldModel(_T, InversePairsKernel(), f"connect sum of {_PIECES}"),
+    "simply_connected": ManifoldModel(GroupSpec(), TrivialKernel(), "simply connected manifold"),
+}
+
+PRESET_IDS = tuple(_PRESETS)
+
+
+def instantiate(preset_id: str) -> ManifoldModel:
+    """The preset's model; models are frozen, so every call shares one object."""
+    try:
+        return _PRESETS[preset_id]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            f"unknown preset {preset_id!r}; available: {', '.join(PRESET_IDS)}"
+        ) from None
+
+
+def _sign_problem(j: int, sign) -> str:
+    """The one sign rule for sr_discs[j]: "" for the int +1 or -1, else the message."""
+    if type(sign) is int and sign in (1, -1):
+        return ""
+    return f"sr_discs[{j}]: sign must be +1 or -1, got {sign}"
+
+
 def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     """Check the raw-data constraints; returns one message per violation."""
     _require(data, SRData, "disc data must be an SRData")
@@ -79,8 +115,8 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
         elif not tube.is_two_torsion():
             problems.append(f"double_tubes[{i}]: element is not 2-torsion")
     for j, (sign, g) in enumerate(data.sr_discs):
-        if type(sign) is not int or sign not in (1, -1):
-            problems.append(f"sr_discs[{j}]: sign must be +1 or -1, got {sign}")
+        if problem := _sign_problem(j, sign):
+            problems.append(problem)
         if not isinstance(g, GroupElement) or g.spec != manifold.group:
             problems.append(f"sr_discs[{j}]: element is not over the manifold group")
         elif g.is_identity:
@@ -130,6 +166,9 @@ def negate_data(data: SRData) -> SRData:
     tubes merge into a single +1 disc.
     """
     tubes = _require(data, SRData, "disc data must be an SRData").double_tubes
+    for j, (sign, _) in enumerate(data.sr_discs):
+        if problem := _sign_problem(j, sign):
+            raise ValidationError(problem)
     discs = [(-sign, g) for sign, g in data.sr_discs]
     discs.extend((-1, t) for t in tubes)
     return SRData(tubes, tuple(discs))

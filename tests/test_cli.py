@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +107,23 @@ def test_presets_listing(capsys):
         "simply_connected",
     ]
     assert payload[0]["manifold"]["dax_kernel"] == {"preset": "trivial"}
+
+
+def test_console_script_target_lists_presets(monkeypatch, capsys):
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, attr = re.search(r'^daxcalc = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    target = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr(sys, "argv", ["daxcalc", "presets"])
+    try:
+        code = target()
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "boundary_connect_sum: group: t  kernel: trivial  [boundary connect sum of S^2 x D^2 and S^1 x B^3]\n"
+        "connect_sum: group: t  kernel: inverse_pairs  [connect sum of S^2 x D^2 and S^1 x B^3]\n"
+        "simply_connected: group: 1  kernel: trivial  [simply connected manifold]\n"
+    )
 
 
 def test_run_session(tmp_path, capsys):

@@ -124,6 +124,15 @@ def test_negate_data_inverts_phi():
     assert phi(concat(data, negated), M).is_zero
 
 
+@pytest.mark.parametrize("sign", ["x", None, True, 2, 1.0])
+def test_negate_data_rejects_a_bad_sign(sign):
+    data = SRData((), ((1, T), (sign, T)))
+    with pytest.raises(ValidationError) as info:
+        negate_data(data)
+    assert str(info.value) == f"sr_discs[1]: sign must be +1 or -1, got {sign}"
+    assert str(info.value) == validate(data, M)[0]
+
+
 def test_normalize_idempotent_fuzz():
     rng = random.Random(21)
     for _ in range(500):
