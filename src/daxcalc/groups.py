@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ValidationError, _iterate, _require, _require_iter
 
@@ -49,8 +49,9 @@ class GroupSpec:
         for i, f in enumerate(self.factors):
             if not isinstance(f, Factor):
                 raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
-        # the name table is not a field, so ==, hash and repr see only the factors
+        # the name and order tables are not fields, so ==, hash and repr see only the factors
         object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
+        object.__setattr__(self, "_orders", tuple(f.order for f in self.factors))
         if len(self._index) != len(self.factors):
             raise ValidationError("factor names must be pairwise distinct")
 
@@ -71,17 +72,11 @@ class GroupSpec:
         return self.element([(name, 1)])
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
-        """Build the reduced word with the given syllables, merging as needed."""
-        return self._merge([], _require_iter(syllables, "syllables must be an iterable of pairs"))
+        """Build the reduced word with the given syllables; _checked checks each one just before it is merged."""
+        return self._merge([], self._checked(_require_iter(syllables, "syllables must be an iterable of pairs")))
 
-    def _normalize_exponent(self, index: int, exp: int) -> int:
-        if not 0 <= index < len(self.factors):
-            raise ValidationError(f"factor index {index} out of range")
-        order = self.factors[index].order
-        return exp % order if order is not None else exp
-
-    def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
-        """Resolve, type-check and push each syllable onto the reduced word in stack, merging as needed."""
+    def _checked(self, syllables: Iterator) -> Iterator[tuple[int, int]]:
+        """Yield each syllable as an (index, exponent) pair, lazily, once it passes element's checks in order."""
         for syllable in syllables:
             try:
                 ref, exp = syllable
@@ -90,10 +85,19 @@ class GroupSpec:
             index = ref if type(ref) is int else self.index_of(ref)
             if type(exp) is not int:
                 raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
+            if not 0 <= index < len(self._orders):
+                raise ValidationError(f"factor index {index} out of range")
+            yield index, exp
+
+    def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[int, int]]) -> "GroupElement":
+        """Push each (in-range index, int exponent) pair onto the reduced word in stack, merging; checks nothing."""
+        orders = self._orders
+        for index, exp in syllables:
             if stack and stack[-1][0] == index:
                 exp += stack.pop()[1]
-            exp = self._normalize_exponent(index, exp)
-            if exp != 0:
+            if (order := orders[index]) is not None:
+                exp %= order
+            if exp:
                 stack.append((index, exp))
         return GroupElement._trusted(self, tuple(stack))
 
@@ -117,11 +121,13 @@ class GroupElement:
         entries = tuple(_iterate(self.syllables, what))  # outside the try: the caller's own TypeError passes
         try:
             object.__setattr__(self, "syllables", tuple(map(tuple, entries)))
-            prev = None
+            orders, prev = self.spec._orders, None
             for index, exp in self.syllables:
                 if type(index) is not int:
                     raise ValidationError(f"factor index {index!r} is not an integer")
-                if type(exp) is not int or exp != self.spec._normalize_exponent(index, exp) or exp == 0:
+                if type(exp) is int and not 0 <= index < len(orders):
+                    raise ValidationError(f"factor index {index} out of range")
+                if type(exp) is not int or exp == 0 or orders[index] is not None and not 0 < exp < orders[index]:
                     raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
                 if prev == index:
                     raise ValidationError("adjacent syllables must use distinct factors")

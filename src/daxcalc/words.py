@@ -11,9 +11,10 @@ the interpreter converts (sys.get_int_max_str_digits(), 4300 by default); a
 longer digit run is a ParseError at its first digit.  Canonical output is
 produced by str() on GroupElement and RingElement; parse and str round-trip.
 
-Accept, then locate: one fullmatch of the grammar and one findall of the
-(name, sign, digits) syllables read well-formed text.  _locate alone raises
-errors; the only values it builds are the words of the terms it walks.
+Accept, then locate: one fullmatch of the grammar accepts well-formed text;
+only then do str splits on whitespace, "*" and "^" read its syllables, which
+go to GroupSpec._merge unchecked.  _locate alone raises errors; the only
+values it builds are the words of the terms it walks.
 Classes are ASCII, and no pattern has two optional whitespace runs side by
 side: rejection is linear.
 """
@@ -28,7 +29,6 @@ from .groups import _NAME, GroupElement, GroupSpec
 from .ring import RingElement
 
 _TOKEN = re.compile(r"\s+|(?P<op>[-*+^])|(?P<int>[0-9]+)|(?P<name>[A-Za-z0-9_]+)|(?P<bad>.)", re.S)
-_SYLLABLE = re.compile(rf"({_NAME})(?:\s*\^\s*(?:([-+])\s*)?([0-9]+))?")
 _WORD_TEXT = r"{0}(?:\s*\*\s*{0})*".format(rf"{_NAME}(?:\s*\^\s*(?:[-+]\s*)?[0-9]+)?")
 _WORD = re.compile(rf"\s*(?:0*(1)|{_WORD_TEXT})\s*")
 _TERM = re.compile(rf"(?:\A|([-+]))\s*(?:([0-9]+)\s*\*\s*)?({_WORD_TEXT})")
@@ -88,7 +88,7 @@ def _locate(text: str, spec: GroupSpec, ring: bool) -> NoReturn:
             raise ValidationError("the identity word '1' is not a valid term: "
                                   "values live in the group ring with the identity removed")
         start, i = tokens[i][2], _walk_word(tokens, i, spec)
-        if spec.element(_syllables(text[start : tokens[i][2]], spec)).is_identity:
+        if spec._merge([], _syllables(text[start : tokens[i][2]], spec)).is_identity:
             raise ValidationError("term reduces to the identity, which is excluded from the group ring support")
         if tokens[i][0] not in ("+", "-"):
             raise ParseError("expected '+' or '-' between terms", tokens[i][2])
@@ -96,8 +96,9 @@ def _locate(text: str, spec: GroupSpec, ring: bool) -> NoReturn:
 
 
 def _syllables(word: str, spec: GroupSpec) -> list[tuple[int, int]]:
-    """The (factor index, exponent) pairs of an accepted word; KeyError or ValueError if unreadable."""
-    return [(spec._index[name], int(sign + digits) if digits else 1) for name, sign, digits in _SYLLABLE.findall(word)]
+    """The (factor index, exponent) pairs of a word _WORD or _TERM accepted; KeyError or ValueError if unreadable."""
+    pieces = "".join(word.split()).split("*")
+    return [(spec._index[name], int(exp or 1)) for name, _, exp in (piece.partition("^") for piece in pieces)]
 
 
 def parse_word(text: str, spec: GroupSpec) -> GroupElement:
@@ -106,7 +107,7 @@ def parse_word(text: str, spec: GroupSpec) -> GroupElement:
     _require(spec, GroupSpec, "spec must be a GroupSpec")
     try:
         if match := _WORD.fullmatch(text):
-            return spec.identity() if match[1] else spec.element(_syllables(text, spec))
+            return spec.identity() if match[1] else spec._merge([], _syllables(text, spec))
     except (KeyError, ValueError):  # an unknown name or an overlong literal
         pass
     _locate(text, spec, ring=False)
@@ -120,7 +121,7 @@ def parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
         if _RINGEXPR.fullmatch(text):
             combined: dict[GroupElement, int] = {}
             for sign, coeff, word in _TERM.findall(text):
-                if (g := spec.element(_syllables(word, spec))).is_identity:
+                if (g := spec._merge([], _syllables(word, spec))).is_identity:
                     break  # _locate names the error, or an earlier one
                 combined[g] = combined.get(g, 0) + int(sign + (coeff or "1"))
             else:

@@ -292,6 +292,18 @@ def test_power_by_a_non_int_is_a_type_error(n):
         FREE.generator("t") ** n
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+def test_element_rejects_an_index_out_of_range(index):
+    # the merge reads the order table unchecked, so -1 would silently read the last factor's order
+    with pytest.raises(ValidationError, match=rf"^factor index {index} out of range$"):
+        MIXED.element([(index, 1)])
+
+
+def test_element_checks_a_syllable_after_earlier_ones_cancel():
+    with pytest.raises(ValidationError, match=r"^unknown factor name 'zz'$"):
+        MIXED.element([("t", 1), ("t", -1), ("zz", 1)])
+
+
 @pytest.mark.parametrize("build", [lambda: MIXED.index_of(["t"]), lambda: MIXED.element([(["t"], 1)])])
 def test_an_unhashable_factor_name_is_unknown(build):
     with pytest.raises(ValidationError, match=r"unknown factor name \['t'\]"):

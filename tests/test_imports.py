@@ -9,7 +9,9 @@ so they cannot share a rule with the code they check.  Only the guards in
 `errors.py` and `documents._expect` name a value's type in a message, so
 each argument-type rule is written once.  Only `documents._at`, which puts a
 field path on an error, and `cli.main`, which prints it, catch the package's
-own errors, so no other place re-wraps them.
+own errors, so no other place re-wraps them.  GroupSpec._merge checks
+nothing, so only groups.py and the word parsers, which pass it syllables
+they have checked or accepted, may call it.
 """
 
 import ast
@@ -18,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "daxcalc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "daxcalc"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -174,3 +177,17 @@ def test_only_at_and_main_catch_package_errors():
         }
         found += [f"{path.name}:{line}" for line in caught_package_errors(tree) if line not in allowed]
     assert not found, f"put a field path on an error through documents._at: {found}"
+
+
+def test_only_groups_and_words_call_the_unchecked_merge():
+    found = []
+    for path in sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py")):
+        if path in (PACKAGE / "groups.py", PACKAGE / "words.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_merge"
+        ]
+    assert not found, f"build words through GroupSpec.element, which checks each syllable: {found}"

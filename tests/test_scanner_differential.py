@@ -1,14 +1,19 @@
 """Differential tests: the regular-expression parsers agree with the token parser.
 
-parse_word and parse_ringexpr read well-formed text with one fullmatch and
-one findall, and tokenize only the text they reject.  On a fixed-seed corpus
+parse_word and parse_ringexpr accept well-formed text with one fullmatch,
+read its syllables with plain str splits on whitespace, "*" and "^" into an
+unchecked merge, and tokenize only the text they reject.  On a fixed-seed corpus
 of valid and malformed words and ring expressions they must return equal
 values, or raise the same exception class with the same message and
 position, as the token parser kept in helpers.  The malformed cases cover
 whitespace runs, "^"/"+"/"-" sign runs, digit-led names, non-ASCII letters
 and digits, and integer literals at and just past the interpreter's digit
 limit.  A fixed list pins the order of the identity-term error against
-each parse error that can come before or after it.
+each parse error that can come before or after it.  Since the splits trust
+the fullmatch, a second corpus targets what they must read alike: Unicode
+whitespace inside a syllable, exponents with leading zeros, a "+" sign or
+as many digits as the limit allows, exponents that wrap around a finite
+order, and words that cancel to the identity.
 """
 
 import random
@@ -39,6 +44,19 @@ MALFORMED = (
     "1", "0", "00", "01", "1*", "0*", "1*1", "3*1",  # identity and zero pieces
 )
 PARSERS = ((parse_word, reference_parse_word), (parse_ringexpr, reference_parse_ringexpr))
+# whitespace that str.split() and the patterns' \s both drop, inside syllables
+SYLLABLE_SPACES = ("", "", "", " ", "\x1c", "\u2003", "\xa0", "\u3000", "\x85")
+EXPONENTS = (
+    "", "0", "1", "-1", "+2", "3", "-4", "+0", "007", "-007", "+0010",  # zero-led and "+"-signed
+    "300000000000000000001", "-299999999999999999999",  # wrap around the orders 2 and 3
+    "7" * LIMIT, "-" + "7" * LIMIT, "+" + "0" * LIMIT,  # at the digit limit
+)
+TRUSTED_PATH = (
+    "t ^ - 3", "b^\x1c+2", "a\u2003^\xa0-1", "t\u3000^\u3000-\u30003", "x_1\x85^\x85+\x8505",
+    "t^007", "t^+5", "t^-007 * a^+0001", "t^00", "t^" + "7" * LIMIT, "t^-" + "0" * (LIMIT - 1) + "5",
+    "a^3", "a^-1", "b^-4", "b^+300000000000000000001", "a^" + "7" * LIMIT, "b^-" + "8" * LIMIT,
+    "t*t^-1", "t^2 * a * a * t^-2", "b*b^2", "a*b*b^+2*a", "x_1^5 * x_1^-05", "b^3", "a^2 * t",
+)
 # each parse error with an identity term before it and after it
 IDENTITY_TERMS = ("t*t^-1", "1")
 ERROR_PIECES = (
@@ -105,6 +123,22 @@ def valid_ringexpr(rng: random.Random) -> str:
     return text + rng.choice(SPACES)
 
 
+def spaced(rng: random.Random, *pieces: str) -> str:
+    return "".join(piece + rng.choice(SYLLABLE_SPACES) for piece in pieces)
+
+
+def trusted_path_word(rng: random.Random) -> str:
+    """A word with whitespace inside its syllables and awkward exponents; often followed by its inverse."""
+    syllables = [(rng.choice(NAMES), rng.choice(EXPONENTS)) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:  # the word times its inverse cancels to the identity
+        syllables += [(name, str(-int(exp or 1))) for name, exp in reversed(syllables)]
+    parts = []
+    for name, exp in syllables:
+        sign, digits = (exp[0], exp[1:]) if exp[:1] in ("-", "+") else ("", exp)
+        parts.append(spaced(rng, name, "^", sign, digits) if exp else spaced(rng, name))
+    return "".join(spaced(rng, "*") + part for part in parts)[1:]  # [1:] drops the first "*"
+
+
 def mutate(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 3)):
         i = rng.randint(0, len(text))
@@ -147,3 +181,17 @@ def test_scanner_alphabet_text_matches_the_token_parser():
 @given(st.lists(st.sampled_from(SCANNER_ALPHABET + list(MALFORMED)), max_size=14).map("".join))
 def test_pieces_match_the_token_parser_hypothesis(text):
     check(text)
+
+
+def test_trusted_path_fixed_cases_match_the_token_parser():
+    for word in TRUSTED_PATH:
+        for text in (word, f" {word} ", f"-2 * {word} + t", f"a - {word}", f"{word} + 3*{word}"):
+            check(text)
+
+
+def test_trusted_path_corpus_matches_the_token_parser():
+    rng = random.Random(1104)
+    for _ in range(1500):
+        word = trusted_path_word(rng)
+        check(word)
+        check(rng.choice(("", "-", "3*", "- 007 * ")) + word + rng.choice(("", " + t", " - 2*" + trusted_path_word(rng))))
