@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import ValidationError, _iterate, _require, _require_iter
 
@@ -72,12 +72,9 @@ class GroupSpec:
         return self.element([(name, 1)])
 
     def element(self, syllables: Iterable[tuple[Union[int, str], int]]) -> "GroupElement":
-        """Build the reduced word with the given syllables; _checked checks each one just before it is merged."""
-        return self._merge([], self._checked(_require_iter(syllables, "syllables must be an iterable of pairs")))
-
-    def _checked(self, syllables: Iterator) -> Iterator[tuple[int, int]]:
-        """Yield each syllable as an (index, exponent) pair, lazily, once it passes element's checks in order."""
-        for syllable in syllables:
+        """Build the reduced word with the given syllables, checking every one before any is merged."""
+        pairs = []
+        for syllable in _require_iter(syllables, "syllables must be an iterable of pairs"):
             try:
                 ref, exp = syllable
             except (TypeError, ValueError):
@@ -87,10 +84,11 @@ class GroupSpec:
                 raise ValidationError(f"exponent {exp!r} is not a reduced integer for factor index {index}")
             if not 0 <= index < len(self._orders):
                 raise ValidationError(f"factor index {index} out of range")
-            yield index, exp
+            pairs.append((index, exp))
+        return self._merge([], pairs)
 
     def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[int, int]]) -> "GroupElement":
-        """Push each (in-range index, int exponent) pair onto the reduced word in stack, merging; checks nothing."""
+        """Merge each (in-range index, int exponent) pair onto the reduced word in stack; wrap it, skipping __post_init__."""
         orders = self._orders
         for index, exp in syllables:
             if stack and stack[-1][0] == index:
@@ -99,7 +97,10 @@ class GroupSpec:
                 exp %= order
             if exp:
                 stack.append((index, exp))
-        return GroupElement._trusted(self, tuple(stack))
+        g = object.__new__(GroupElement)
+        object.__setattr__(g, "spec", self)
+        object.__setattr__(g, "syllables", tuple(stack))
+        return g
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -134,14 +135,6 @@ class GroupElement:
                 prev = index
         except (TypeError, ValueError):  # an entry that is not a pair
             raise ValidationError(what) from None
-
-    @classmethod
-    def _trusted(cls, spec: GroupSpec, syllables: tuple[tuple[int, int], ...]) -> "GroupElement":
-        """Wrap a reduced word whose every syllable was checked already; skips __post_init__."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "spec", spec)
-        object.__setattr__(g, "syllables", syllables)
-        return g
 
     @property
     def is_identity(self) -> bool:

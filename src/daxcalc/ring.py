@@ -65,7 +65,7 @@ class RingElement:
     @classmethod
     def from_mapping(cls, spec: GroupSpec, mapping: Mapping[GroupElement, int]) -> "RingElement":
         items = sorted(_require(mapping, Mapping, "mapping must be a Mapping").items(), key=lambda item: canonical_key(item[0]))
-        return cls(spec, tuple((g, c) for g, c in items if c != 0))
+        return cls(spec, tuple((g, c) for g, c in items if type(c) is not int or c))  # __post_init__ rejects 0.0 and False
 
     @property
     def is_zero(self) -> bool:
@@ -119,7 +119,7 @@ class RingElement:
 
 
 def monomial(g: GroupElement, coeff: int) -> RingElement:
-    """The single-term combination coeff*g; coeff 0 gives zero."""
+    """The single-term combination coeff*g; only an int 0 gives zero."""
     if _require(g, GroupElement, "element must be a GroupElement").is_identity and coeff != 0:
         raise ValidationError("monomial requires a nontrivial group element")
     return RingElement.from_mapping(g.spec, {g: coeff})

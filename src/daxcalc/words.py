@@ -122,10 +122,9 @@ def parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
             combined: dict[GroupElement, int] = {}
             for sign, coeff, word in _TERM.findall(text):
                 if (g := spec._merge([], _syllables(word, spec))).is_identity:
-                    break  # _locate names the error, or an earlier one
+                    _locate(text, spec, ring=True)  # names this error, or an earlier one
                 combined[g] = combined.get(g, 0) + int(sign + (coeff or "1"))
-            else:
-                return RingElement.from_mapping(spec, combined)
+            return RingElement.from_mapping(spec, combined)
     except (KeyError, ValueError):  # an unknown name or an overlong literal
         pass
     _locate(text, spec, ring=True)

@@ -239,7 +239,7 @@ def test_element_constructor_rejects_a_non_integer_exponent(exp):
         GroupElement(FREE, ((0, exp),))
 
 
-@pytest.mark.parametrize("syllables", [[(0, 1), (0, True)], [(0, 1.5), (0, -1.5)], [(0, 2.0)]])
+@pytest.mark.parametrize("syllables", [[(0, 1), (0, True)], [(0, 1.5), (0, -1.5)], [(0, 2.0)], [(0, 1.5), ("zz", 1)]])
 def test_element_rejects_a_non_integer_exponent_before_merging(syllables):
     with pytest.raises(ValidationError, match="is not a reduced integer for factor index 0"):
         MIXED.element(syllables)
@@ -353,6 +353,13 @@ def test_element_rejects_a_container_that_is_not_iterable():
 
     with pytest.raises(TypeError, match="from inside the walk"):
         FREE.element(syllables())
+
+    def bad_then_raising():  # a bad syllable is rejected before the walk goes on
+        yield ("zz", 1)
+        raise TypeError("from inside the walk")
+
+    with pytest.raises(ValidationError, match=r"^unknown factor name 'zz'$"):
+        FREE.element(bad_then_raising())
 
 
 def test_element_constructor_rejects_a_container_that_is_not_iterable():

@@ -11,7 +11,9 @@ each argument-type rule is written once.  Only `documents._at`, which puts a
 field path on an error, and `cli.main`, which prints it, catch the package's
 own errors, so no other place re-wraps them.  GroupSpec._merge checks
 nothing, so only groups.py and the word parsers, which pass it syllables
-they have checked or accepted, may call it.
+they have checked or accepted, may call it.  Each value type has one raw
+builder that skips the constructor's checks: only GroupSpec._merge and
+RingElement._trusted call `__new__` (object.__new__ or any other).
 """
 
 import ast
@@ -191,3 +193,25 @@ def test_only_groups_and_words_call_the_unchecked_merge():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_merge"
         ]
     assert not found, f"build words through GroupSpec.element, which checks each syllable: {found}"
+
+
+def new_calls(tree: ast.AST) -> list[int]:
+    """Lines that call a __new__ method, such as object.__new__(cls)."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__"]
+
+
+def test_only_merge_and_ring_trusted_build_without_checks():
+    builders = {("groups.py", "GroupSpec", "_merge"), ("ring.py", "RingElement", "_trusted")}
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {
+            line
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and (path.name, cls.name, node.name) in builders
+            for line in new_calls(node)
+        }
+        found += [f"{path.name}:{line}" for line in new_calls(tree) if line not in allowed]
+    assert not found, f"build values through their constructors, GroupSpec._merge or RingElement._trusted: {found}"

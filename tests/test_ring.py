@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -138,6 +139,16 @@ def test_dax_sum_inverse_symmetry_fuzz():
         g = random_nontrivial(rng, spec)
         sign = rng.choice((1, -1))
         assert dax_sum(g, sign) == dax_sum(~g, sign)
+
+
+@pytest.mark.parametrize("coeff", [0.0, False, 0j])
+def test_only_an_int_zero_coefficient_is_dropped(coeff):
+    # a zero of another type reaches the constructor, which rejects it as it rejects 1.0 and True
+    message = rf"^coefficient {re.escape(repr(coeff))} must be a nonzero integer$"
+    with pytest.raises(ValidationError, match=message):
+        RingElement.from_mapping(SPEC, {T: coeff})
+    with pytest.raises(ValidationError, match=message):
+        monomial(T, coeff)
 
 
 @pytest.mark.parametrize("coeff", [1.5, 1.0, True])
