@@ -17,8 +17,10 @@ Without that re-reduction the unreduced pivot rows feed one another, the
 entries grow far past the final form's, and a 40-generator HNF takes
 seconds instead of milliseconds.  One helper does that re-reduction and
 the closing pass over every row, and it shares one pivot step,
-_reduce_by_pivots, with reduce.  Infinite kernel families that do not
-follow the inverse-pair pattern are out of scope.
+_reduce_by_pivots, with reduce.  Each pivot row is zero left of its pivot
+column c, as is a row at its first nonzero column c, so every row operation
+rewrites columns c.. only.  Infinite kernel families that do not follow
+the inverse-pair pattern are out of scope.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class ExplicitKernel:
         vec = [0] * len(basis)
         for g in terms.keys() & index.keys():
             vec[index[g]] = terms.pop(g)
-        vec = _reduce_by_pivots(vec, [(c, hnf[i]) for i, c in pivots])
+        _reduce_by_pivots(vec, [(c, hnf[i]) for i, c in pivots])
         terms.update((basis[i], c) for i, c in enumerate(vec) if c)
         return RingElement.from_mapping(x.spec, terms)
 
@@ -125,30 +127,32 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
     what = "rows must be integer lists"
     mat = [list(_iterate(row, what)) for row in _iterate(rows, what)]
     n_cols = len(mat[0]) if mat else 0
-    if any(len(row) != n_cols or not all(type(a) is int for a in row) for row in mat):
+    if any(len(row) != n_cols or set(map(type, row)) - {int} for row in mat):  # bool and int subclasses too
         raise ValidationError(f"rows must be integer lists as long as rows[0] ({n_cols})")
     by_col: dict[int, list[int]] = {}  # the one pivot row of each pivot column
-    for vec in mat:
+    for vec in mat:  # mat holds copies, so vec and the pivot rows change in place
         changed = []  # the pivot columns whose row this insertion added or replaced
         c = 0
-        while (c := next((j for j in range(c, n_cols) if vec[j]), n_cols)) < n_cols:
-            row = by_col.get(c)
-            if row is None:
-                by_col[c] = vec if vec[c] > 0 else [-a for a in vec]
+        while c < n_cols:
+            if not vec[c]:
+                c += 1
+            elif (row := by_col.get(c)) is None:
+                by_col[c] = vec if vec[c] > 0 else vec[:c] + [-a for a in vec[c:]]
                 changed.append(c)
                 break
-            a, b = row[c], vec[c]
-            if b % a == 0:
-                q = b // a
-                vec = [x - q * y for x, y in zip(vec, row)]
-                continue
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            s = pow(a, -1, abs(b))  # s*a + t*b = 1, so det [[s, t], [b, -a]] = -1
-            t = (1 - s * a) // b
-            by_col[c] = [s * x + t * y for x, y in zip(row, vec)]
-            vec = [b * x - a * y for x, y in zip(row, vec)]
-            changed.append(c)
+            elif vec[c] % row[c] == 0:
+                q = vec[c] // row[c]
+                vec[c:] = [x - q * y for x, y in zip(vec[c:], row[c:])]
+            else:
+                a, b = row[c], vec[c]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                s = pow(a, -1, abs(b))  # s*a + t*b = 1, so det [[s, t], [b, -a]] = -1
+                t = (1 - s * a) // b
+                rt, vt = row[c:], vec[c:]
+                row[c:] = [s * x + t * y for x, y in zip(rt, vt)]
+                vec[c:] = [b * x - a * y for x, y in zip(rt, vt)]
+                changed.append(c)
         _reduce_pivot_rows(by_col, changed)
     _reduce_pivot_rows(by_col, by_col)  # the closing pass: every row
     cols = sorted(by_col)
@@ -160,17 +164,19 @@ def _reduce_pivot_rows(by_col: dict[int, list[int]], cols: Collection[int]) -> N
     later: list[tuple[int, list[int]]] = []  # the pivots right of column d, rightmost first
     for d in sorted(by_col, reverse=True):
         if d in cols:  # each row is reduced by rows already reduced
-            by_col[d] = _reduce_by_pivots(by_col[d], reversed(later))
+            _reduce_by_pivots(by_col[d], reversed(later))
         later.append((d, by_col[d]))
 
 
-def _reduce_by_pivots(vec: list[int], pivots: Iterable[tuple[int, list[int]]]) -> list[int]:
-    """Subtract (column, row) pivots, in column order, until each pivot coordinate lies in [0, pivot)."""
+def _reduce_by_pivots(vec: list[int], pivots: Iterable[tuple[int, list[int]]]) -> None:
+    """Subtract (column, row) pivots from vec in place, in column order, until each pivot coordinate lies in [0, pivot).
+
+    A pivot row is zero left of its column c, so each subtraction touches vec[c:] only.
+    """
     for c, row in pivots:
         q = vec[c] // row[c]
         if q:
-            vec = [a - q * b for a, b in zip(vec, row)]
-    return vec
+            vec[c:] = [a - q * b for a, b in zip(vec[c:], row[c:])]
 
 
 def _ring_value(x: object, what: str = "reduced value") -> RingElement:

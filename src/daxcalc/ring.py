@@ -120,7 +120,7 @@ class RingElement:
 
 def monomial(g: GroupElement, coeff: int) -> RingElement:
     """The single-term combination coeff*g; only an int 0 gives zero."""
-    if _require(g, GroupElement, "element must be a GroupElement").is_identity and coeff != 0:
+    if _require(g, GroupElement, "element must be a GroupElement").is_identity and (type(coeff) is not int or coeff):
         raise ValidationError("monomial requires a nontrivial group element")
     return RingElement.from_mapping(g.spec, {g: coeff})
 

@@ -204,6 +204,10 @@ def test_equal_mod_kernel_is_equivalence_fuzz():
             assert equal_mod_kernel(x, z, kernel)
 
 
+class IntSubclass(int):
+    pass
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -211,6 +215,9 @@ def test_equal_mod_kernel_is_equivalence_fuzz():
         [[1, 2], [3]],  # a shorter row used to end in IndexError
         [[1.5, 2]],
         [[1, 2], [True, 0]],
+        [[1, 2], [3, 4], [5, False]],  # a bool in a later row
+        [[1, 2], [3, IntSubclass(4)]],  # an int subclass is not an int
+        [[1, 2], [3, 4.0]],  # a float in the last column
     ],
 )
 def test_hermite_normal_form_rejects_ragged_or_non_integer_rows(rows):

@@ -5,10 +5,15 @@ alone and passes x's other terms through, and hermite_normal_form inserts the
 rows one at a time.  The seed versions, whose basis also spanned x's support
 and whose Euclidean elimination rescanned every row, are kept in helpers.py;
 here both run on fixed-seed corpora, small and shaped like the benchmark's
-40-generator kernel, and must agree on every output or error.  The last test
+40-generator kernel, and must agree on every output or error.  The row
+operations update rows in place, from the pivot column on, so further corpora
+aim at the edges of that (negative leading entries, rows zero up to the last
+column, one column, 100-digit entries), and two tests check that neither the
+caller's rows nor a kernel's later reduces see those updates.  The last test
 checks the reduction's coset properties.
 """
 
+import copy
 import random
 
 from daxcalc import ExplicitKernel, Factor, GroupSpec, RingElement, hermite_normal_form
@@ -151,6 +156,69 @@ def test_hermite_normal_form_matches_the_reference_on_larger_matrices():
     corpus.append([sparse_row(rng, 48) for _ in range(40)])
     for rows in corpus:
         assert hermite_normal_form(rows) == reference_hermite_normal_form(rows)
+
+
+def negative_led_row(rng, n):
+    """A row of width n >= 1 whose first nonzero entry is negative."""
+    lead = rng.randrange(n)
+    return [0] * lead + [-rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(n - lead - 1)]
+
+
+def edge_matrix(rng):
+    """Up to 8 x 9 of negative-led rows, rows zero up to the last column, and random rows, shuffled."""
+    k, n = rng.randint(1, 8), rng.randint(1, 9)
+    makers = (
+        lambda: negative_led_row(rng, n),
+        lambda: [0] * (n - 1) + [rng.randint(-9, 9)],
+        lambda: [rng.randint(-9, 9) for _ in range(n)],
+    )
+    return [rng.choice(makers)() for _ in range(k)]
+
+
+def test_hermite_normal_form_matches_the_reference_on_edge_rows():
+    rng = random.Random(1001)
+    corpus = [[negative_led_row(rng, n) for _ in range(k)] for k, n in ((1, 1), (2, 1), (3, 4), (6, 6), (8, 5))]
+    corpus += [[[0] * (n - 1) + [v] for v in values] for n, values in ((1, [-3]), (4, [-6, 4]), (5, [0, -7, 2, 3]))]
+    corpus += [[[rng.randint(-99, 99)] for _ in range(rng.randint(1, 8))] for _ in range(100)]  # one column
+    corpus += [edge_matrix(rng) for _ in range(400)]
+    for rows in corpus:
+        assert hermite_normal_form(rows) == reference_hermite_normal_form(rows)
+
+
+def test_hermite_normal_form_matches_the_reference_on_100_digit_entries():
+    rng = random.Random(1002)
+    big = 10**100
+    corpus = [[[rng.randint(-big, big)] for _ in range(3)]]
+    corpus += [[[rng.randint(-big, big) for _ in range(3)]] * 2]  # a repeated row: rank 1
+    for _ in range(12):
+        k, n = rng.randint(1, 4), rng.randint(1, 5)
+        corpus.append([[rng.choice((0, rng.randint(-big, big))) for _ in range(n)] for _ in range(k)])
+    corpus.append([negative_led_row(rng, 4) for _ in range(3)] + [[rng.randint(-big, big) for _ in range(4)]])
+    for rows in corpus:
+        assert hermite_normal_form(rows) == reference_hermite_normal_form(rows)
+
+
+def test_hermite_normal_form_leaves_its_input_unchanged():
+    rng = random.Random(1003)
+    corpus = [larger_matrix(rng) for _ in range(100)] + [edge_matrix(rng) for _ in range(100)]
+    corpus.append([sparse_row(rng, 48) for _ in range(40)])
+    for rows in corpus:
+        before = copy.deepcopy(rows)
+        hnf, _ = hermite_normal_form(rows)
+        assert rows == before
+        assert not any(out is row for out in hnf for row in rows)
+
+
+def test_repeated_reduces_on_one_kernel_agree():
+    rng = random.Random(1004)
+    for _ in range(8):
+        generators = workload_generators(rng)
+        kernel = ExplicitKernel(generators)
+        xs = [random_x(rng, WORKLOAD_SPEC, WORKLOAD_SPEC, generators) for _ in range(4)]
+        first = [kernel.reduce(x) for x in xs]
+        assert [kernel.reduce(x) for x in reversed(xs)] == first[::-1]
+        assert kernel.reduce(xs[0]) == first[0]
+        assert first == [ExplicitKernel(generators).reduce(x) for x in xs]
 
 
 def test_explicit_reduce_matches_the_reference_with_many_generators():

@@ -35,6 +35,17 @@ def test_monomial():
         monomial(SPEC.identity(), 1)
 
 
+@pytest.mark.parametrize("coeff", [0.0, False, 1.0])
+def test_monomial_on_the_identity_rejects_every_coefficient_but_an_int_zero(coeff):
+    # the int-zero rule of from_mapping: only an int 0 gives zero, so the rest get the monomial message
+    with pytest.raises(ValidationError, match=r"^monomial requires a nontrivial group element$"):
+        monomial(SPEC.identity(), coeff)
+
+
+def test_monomial_on_the_identity_with_an_int_zero_is_zero():
+    assert monomial(SPEC.identity(), 0) == RingElement.zero(SPEC)
+
+
 def test_addition_combines_terms():
     x = monomial(T, 2) + monomial(~T, 1) + monomial(T, -1)
     assert x.coefficient(T) == 1
