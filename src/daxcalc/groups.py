@@ -5,7 +5,9 @@ with adjacent syllables in distinct factors and no zero exponents.  Reduction
 by cascading syllable merges solves the word problem for this group class,
 which covers every fundamental group the calculator works with (free groups,
 finite cyclic groups and their free products, and the trivial group as the
-empty product).
+empty product).  Every word _merge builds (a parse, product, inverse or power)
+shares one (index, exponent) pair per syllable with |exponent| <= 16 from a
+table fixed when its spec is built; input never makes the table grow.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ class GroupSpec:
         for i, f in enumerate(self.factors):
             if not isinstance(f, Factor):
                 raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
-        # the name and order tables are not fields, so ==, hash and repr see only the factors
+        # the name, order and pair tables are not fields, so ==, hash and repr see only the factors
         object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
         object.__setattr__(self, "_orders", tuple(f.order for f in self.factors))
+        # _merge's one shared (index, exp) per reduced syllable with |exp| <= 16; input never adds to it
+        object.__setattr__(self, "_pairs", tuple({e: (i, e) for e in range(-16, 17) if e and (f.order is None or 0 < e < f.order)} for i, f in enumerate(self.factors)))
         if len(self._index) != len(self.factors):
             raise ValidationError("factor names must be pairwise distinct")
 
@@ -89,14 +93,14 @@ class GroupSpec:
 
     def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[int, int]]) -> "GroupElement":
         """Merge each (in-range index, int exponent) pair onto the reduced word in stack; wrap it, skipping __post_init__."""
-        orders = self._orders
+        orders, pairs = self._orders, self._pairs
         for index, exp in syllables:
             if stack and stack[-1][0] == index:
                 exp += stack.pop()[1]
             if (order := orders[index]) is not None:
                 exp %= order
             if exp:
-                stack.append((index, exp))
+                stack.append(pairs[index].get(exp) or (index, exp))
         g = object.__new__(GroupElement)
         object.__setattr__(g, "spec", self)
         object.__setattr__(g, "syllables", tuple(stack))

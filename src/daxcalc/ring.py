@@ -5,7 +5,7 @@ ck*gk with integer coefficients and every gi a nontrivial group element.  The
 identity element is excluded from the support by construction.  Only the
 additive structure is provided; ring multiplication is never needed.  A sum
 of many terms is collected in one dict and built once by from_mapping, so each
-value is validated once; `+` is for combining two values that already exist.
+value is validated once; `+` and `-` combine two values that already exist.
 Checked terms reach _trusted as unsorted (canonical key, element, coefficient)
 triples; it drops zeros and sorts, so only this module orders terms.
 """
@@ -84,21 +84,22 @@ class RingElement:
         return iter(self.terms)
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        if other.spec != self.spec:
-            raise ValidationError("cannot add ring elements over different group specs")
-        combined = Counter(dict(self.terms))
-        combined.update(dict(other.terms))
-        return RingElement.from_mapping(self.spec, combined)
+        return self._combine(other, Counter.update)
 
     def __neg__(self) -> "RingElement":
         return RingElement(self.spec, tuple((g, -c) for g, c in self.terms))
 
     def __sub__(self, other: "RingElement") -> "RingElement":
+        return self._combine(other, Counter.subtract)
+
+    def _combine(self, other: "RingElement", fold) -> "RingElement":
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self + (-other)
+        if other.spec != self.spec:
+            raise ValidationError("cannot add ring elements over different group specs")
+        combined = Counter(dict(self.terms))
+        fold(combined, dict(other.terms))
+        return RingElement.from_mapping(self.spec, combined)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -58,6 +58,8 @@ def test_addition_spec_mismatch():
     other = GroupSpec((Factor("t"),))
     with pytest.raises(ValidationError):
         monomial(T, 1) + monomial(other.generator("t"), 1)
+    with pytest.raises(ValidationError, match=r"^cannot add ring elements over different group specs$"):
+        monomial(T, 1) - monomial(other.generator("t"), 1)
 
 
 def test_term_storage_validation():
@@ -138,6 +140,7 @@ def test_additive_group_fuzz():
         assert (x + y) + z == x + (y + z)
         assert x + RingElement.zero(spec) == x
         assert (x - x).is_zero
+        assert x - y == x + (-y)  # subtraction folds y in without building -y
         assert -(-x) == x
         for g in (x + y).support():
             assert (x + y).coefficient(g) == x.coefficient(g) + y.coefficient(g)

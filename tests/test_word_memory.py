@@ -1,0 +1,62 @@
+"""Memory kept by a decoded session of long words stays bounded per syllable.
+
+Every word a session decodes is built by GroupSpec._merge, which takes each
+syllable with |exponent| <= 16 from its spec's shared table of (index,
+exponent) pairs, so a kept word costs one tuple slot per syllable plus its
+fixed per-word overhead.  The session here has 300 words of 30 syllables over
+x * y * Z/2 * Z/3 (the long_words shape), fixed seed.  tracemalloc counts what
+the decoded document still holds once the JSON object is freed, divided by the
+number of syllables.  On CPython 3.11 that is about 17 B per syllable; a fresh
+56-byte tuple per syllable gave about 73 B.  The bound of BOUND_B = 32 B sits
+between the two.
+"""
+
+import gc
+import json
+import random
+import tracemalloc
+
+from daxcalc.documents import load_json, session_from_json
+
+FACTORS = (("x", None), ("y", None), ("a", 2), ("b", 3))
+WORDS, SYLLABLES, PER_DISC = 300, 30, 5
+BOUND_B = 32
+
+
+def word(rng: random.Random) -> str:
+    """A reduced word of SYLLABLES syllables, |exponent| <= 3."""
+    parts, prev = [], None
+    for _ in range(SYLLABLES):
+        index = rng.choice([i for i in range(len(FACTORS)) if i != prev])
+        name, order = FACTORS[index]
+        exp = rng.choice((-3, -2, -1, 1, 2, 3)) if order is None else rng.randint(1, order - 1)
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        prev = index
+    return "*".join(parts)
+
+
+def session_text(seed: int) -> str:
+    rng = random.Random(seed)
+    group = {"factors": [{"type": "Z", "name": n} if o is None else {"type": "Zn", "name": n, "n": o} for n, o in FACTORS]}
+    discs = {
+        f"d{k}": {"sr_discs": [{"sign": rng.choice((1, -1)), "word": word(rng)} for _ in range(PER_DISC)]}
+        for k in range(WORDS // PER_DISC)
+    }
+    return json.dumps({"manifold": {"group": group, "dax_kernel": {"preset": "inverse_pairs"}}, "discs": discs})
+
+
+def test_a_decoded_session_keeps_a_bounded_number_of_bytes_per_syllable():
+    text = session_text(1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        obj = load_json(text)
+        doc = session_from_json(obj)
+        del obj
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    syllables = sum(len(g.syllables) for disc in doc.discs.values() for _, g in disc.sr_discs)
+    assert syllables == WORDS * SYLLABLES
+    assert kept / syllables <= BOUND_B, f"{kept} B kept for {syllables} syllables"
