@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .errors import ValidationError, _iterate, _require
 from .groups import Factor, GroupElement, GroupSpec, canonical_key
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
+from .ring import _sign_problem
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,6 @@ def instantiate(preset_id: str) -> ManifoldModel:
         ) from None
 
 
-def _sign_problem(j: int, sign) -> str:
-    """The one sign rule for sr_discs[j]: "" for the int +1 or -1, else the message."""
-    if type(sign) is int and sign in (1, -1):
-        return ""
-    return f"sr_discs[{j}]: sign must be +1 or -1, got {sign}"
-
-
 def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     """Check the raw-data constraints; returns one message per violation."""
     _require(data, SRData, "disc data must be an SRData")
@@ -115,8 +109,8 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
         elif not tube.is_two_torsion():
             problems.append(f"double_tubes[{i}]: element is not 2-torsion")
     for j, (sign, g) in enumerate(data.sr_discs):
-        if problem := _sign_problem(j, sign):
-            problems.append(problem)
+        if problem := _sign_problem(sign):
+            problems.append(f"sr_discs[{j}]: {problem}")
         if not isinstance(g, GroupElement) or g.spec != manifold.group:
             problems.append(f"sr_discs[{j}]: element is not over the manifold group")
         elif g.is_identity:
@@ -167,8 +161,8 @@ def negate_data(data: SRData) -> SRData:
     """
     tubes = _require(data, SRData, "disc data must be an SRData").double_tubes
     for j, (sign, _) in enumerate(data.sr_discs):
-        if problem := _sign_problem(j, sign):
-            raise ValidationError(problem)
+        if problem := _sign_problem(sign):
+            raise ValidationError(f"sr_discs[{j}]: {problem}")
     discs = [(-sign, g) for sign, g in data.sr_discs]
     discs.extend((-1, t) for t in tubes)
     return SRData(tubes, tuple(discs))

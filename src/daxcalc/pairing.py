@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ValidationError, _require_iter
 from .groups import GroupElement, GroupSpec
-from .ring import RingElement
+from .ring import RingElement, _sign_problem
 
 
 class DaxValue(NamedTuple):
@@ -31,8 +31,8 @@ def _signed_sum(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec, nam
             sign, loop = point
         except (TypeError, ValueError):
             raise ValidationError(f"{name}[{i}]: point must be a (sign, element) pair") from None
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValidationError(f"{name}[{i}]: sign must be +1 or -1, got {sign}")
+        if problem := _sign_problem(sign):
+            raise ValidationError(f"{name}[{i}]: {problem}")
         if not isinstance(loop, GroupElement) or loop.spec != spec:
             raise ValidationError(f"{name}[{i}]: element is not over the given group spec")
         if loop.is_identity:

@@ -126,10 +126,15 @@ def monomial(g: GroupElement, coeff: int) -> RingElement:
     return RingElement.from_mapping(g.spec, {g: coeff})
 
 
+def _sign_problem(sign) -> str:
+    """The one sign rule: "" for the int +1 or -1, else the message; callers add their prefix."""
+    return "" if type(sign) is int and sign in (1, -1) else f"sign must be +1 or -1, got {sign}"
+
+
 def dax_sum(g: GroupElement, sign: int) -> RingElement:
     """The signed pair sign*(g + g^-1); for 2-torsion g this is sign*2g."""
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign}")
+    if problem := _sign_problem(sign):
+        raise ValidationError(problem)
     if _require(g, GroupElement, "element must be a GroupElement").is_identity:
         raise ValidationError("dax_sum is undefined on the identity element")
     return RingElement.from_mapping(g.spec, {h: sign * n for h, n in Counter((g, ~g)).items()})

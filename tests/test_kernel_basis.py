@@ -12,15 +12,14 @@ column, one column, 100-digit entries), and two tests check that neither the
 caller's rows nor a kernel's later reduces see those updates.  The last test
 checks the reduction's coset properties.
 
-The three workload-sized tests run under a wall-clock bound of BOUND_S
-seconds, well above the under 1 s each takes on a 2-vCPU VM, so a row
-operation that leaves a pivot column unreduced fails them instead of hanging.
+The workload-sized tests, like every test in this directory, run under the
+wall-clock bound that tests/conftest.py sets, far above the under 1 s each
+takes on a 2-vCPU VM, so a row operation that leaves a pivot column
+unreduced fails them instead of hanging.
 """
 
 import copy
-import functools
 import random
-import signal
 
 from daxcalc import ExplicitKernel, Factor, GroupSpec, RingElement, hermite_normal_form
 
@@ -36,26 +35,6 @@ CASES = 3000
 # the benchmark's explicit-kernel group
 WORKLOAD_SPEC = GroupSpec((Factor("a", 2), Factor("b", 3), Factor("t")))
 COEFFS = [c for c in range(-9, 10) if c]
-BOUND_S = 30
-
-
-def bounded(test):
-    """Run test under a BOUND_S wall-clock alarm that fails it with TimeoutError."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"{test.__name__} ran past its {BOUND_S}-s bound")
-
-    @functools.wraps(test)
-    def run(*args, **kwargs):
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, BOUND_S)
-        try:
-            return test(*args, **kwargs)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-
-    return run
 
 
 def outcome(fn, *args):
@@ -224,7 +203,6 @@ def test_hermite_normal_form_matches_the_reference_on_100_digit_entries():
         assert hermite_normal_form(rows) == reference_hermite_normal_form(rows)
 
 
-@bounded
 def test_hermite_normal_form_leaves_its_input_unchanged():
     rng = random.Random(1003)
     corpus = [larger_matrix(rng) for _ in range(100)] + [edge_matrix(rng) for _ in range(100)]
@@ -236,7 +214,6 @@ def test_hermite_normal_form_leaves_its_input_unchanged():
         assert not any(out is row for out in hnf for row in rows)
 
 
-@bounded
 def test_repeated_reduces_on_one_kernel_agree():
     rng = random.Random(1004)
     for _ in range(8):
@@ -249,7 +226,6 @@ def test_repeated_reduces_on_one_kernel_agree():
         assert first == [ExplicitKernel(generators).reduce(x) for x in xs]
 
 
-@bounded
 def test_explicit_reduce_matches_the_reference_with_many_generators():
     rng = random.Random(909)
     for _ in range(50):
