@@ -35,7 +35,7 @@ from .forms import ManifoldModel, SRData, instantiate, normalize
 from .groups import Factor, GroupElement, GroupSpec
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 from .pairing import dax_value
-from .ring import RingElement
+from .ring import RingElement, _sign_problem
 from .words import parse_ringexpr, parse_word
 
 PointList = tuple[tuple[int, GroupElement], ...]
@@ -99,8 +99,8 @@ def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElem
     """An object {"sign": 1 or -1, "word": WORD} in sr_discs or a point list; evaluation drops identity loops."""
     data = _object(value, path, {"sign", "word"})
     sign = _expect(data["sign"], int, f"{path}.sign")
-    if sign not in (1, -1):
-        raise ValidationError(f"sign must be 1 or -1, got {sign}", f"{path}.sign")
+    if problem := _sign_problem(sign):
+        raise ValidationError(problem, f"{path}.sign")
     return sign, _field(data["word"], parse_word, spec, f"{path}.word")
 
 

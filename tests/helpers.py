@@ -242,6 +242,17 @@ def random_scanner_text(rng: random.Random, max_pieces: int = 12) -> str:
     return "".join(rng.choice(SCANNER_ALPHABET) for _ in range(rng.randint(0, max_pieces)))
 
 
+def outcome(fn, *args):
+    """str() of the result, or the error class and message."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the class is part of what is compared
+        return type(exc).__name__, str(exc)
+    if isinstance(result, DaxValue):
+        return "ok", str(result.value), result.dropped
+    return "ok", str(result)
+
+
 # GroupElement.__invert__ from before it built the inverse directly: it sends
 # the reversed, negated syllables back through GroupSpec.element's merges.  Kept
 # verbatim (only the name changed, and the method is a function) as the

@@ -1,3 +1,14 @@
+"""Command-line checks that one golden row cannot express.
+
+tests/cli_golden.json is the one oracle for what daxcalc returns and prints:
+each row pins the exit code, stdout and stderr of one argv over a fixed file
+set, for every subcommand in every mode.  A check that such a row can make
+belongs there.  This file holds the rest: the console-script target, a
+directory argument and every file role, help and usage exit codes (which hold
+on interpreters whose argparse text differs), hostile and overlong input, a
+message that must not depend on the hash seed, and inputs no golden row uses.
+"""
+
 import importlib
 import json
 import os
@@ -10,38 +21,6 @@ import pytest
 
 import daxcalc
 from daxcalc.cli import main
-
-D1 = '{"double_tubes": [], "sr_discs": [{"sign": 1, "word": "t"}]}'
-D0 = "{}"
-
-
-@pytest.fixture
-def disc_files(tmp_path):
-    d1 = tmp_path / "d1.json"
-    d0 = tmp_path / "d0.json"
-    d1.write_text(D1)
-    d0.write_text(D0)
-    return str(d1), str(d0)
-
-
-def test_compare_output(disc_files, capsys):
-    d1, d0 = disc_files
-    code = main(["compare", "--preset", "boundary_connect_sum", d1, d0])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out == "NOT_ISOTOPIC  certificate: t + t^-1\n"
-
-
-def test_compare_json_output(disc_files, capsys):
-    d1, d0 = disc_files
-    code = main(["compare", "--preset", "boundary_connect_sum", d1, d0, "--json"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {
-        "outcome": "NOT_ISOTOPIC",
-        "certificate": "t + t^-1",
-        "rule": "phi-difference",
-    }
 
 
 def test_reduce_output(capsys):
@@ -56,13 +35,6 @@ def test_invariant_empty_disc(tmp_path, capsys):
     code = main(["invariant", "--preset", "simply_connected", "--disc", str(empty)])
     assert code == 0
     assert capsys.readouterr().out == "0\n"
-
-
-def test_invariant_multiple_discs(disc_files, capsys):
-    d1, d0 = disc_files
-    code = main(["invariant", "--preset", "boundary_connect_sum", "--disc", d1, "--disc", d0])
-    assert code == 0
-    assert capsys.readouterr().out == "t + t^-1\n0\n"
 
 
 def test_normalize_output(tmp_path, capsys):
@@ -82,33 +54,6 @@ def test_normalize_output(tmp_path, capsys):
     assert capsys.readouterr().out == '{"double_tubes": [], "sr_discs": []}\n'
 
 
-def test_pairing_output(tmp_path, capsys):
-    points = tmp_path / "points.json"
-    points.write_text('{"points": [{"sign": 1, "word": "t"}, {"sign": -1, "word": "1"}]}')
-    code = main(["pairing", "--preset", "boundary_connect_sum", str(points)])
-    assert code == 0
-    assert capsys.readouterr().out == "t\n"
-    code = main(["pairing", "--preset", "boundary_connect_sum", str(points), "--json"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out) == {"value": "t", "dropped": 1}
-
-
-def test_presets_listing(capsys):
-    code = main(["presets"])
-    out = capsys.readouterr().out
-    assert code == 0
-    for preset_id in ("boundary_connect_sum", "connect_sum", "simply_connected"):
-        assert preset_id in out
-    code = main(["presets", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert [entry["id"] for entry in payload] == [
-        "boundary_connect_sum",
-        "connect_sum",
-        "simply_connected",
-    ]
-    assert payload[0]["manifold"]["dax_kernel"] == {"preset": "trivial"}
-
-
 def test_console_script_target_lists_presets(monkeypatch, capsys):
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     module, attr = re.search(r'^daxcalc = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
@@ -118,57 +63,9 @@ def test_console_script_target_lists_presets(monkeypatch, capsys):
         code = target()
     except SystemExit as exc:
         code = exc.code
-    assert code == 0
-    assert capsys.readouterr().out == (
-        "boundary_connect_sum: group: t  kernel: trivial  [boundary connect sum of S^2 x D^2 and S^1 x B^3]\n"
-        "connect_sum: group: t  kernel: inverse_pairs  [connect sum of S^2 x D^2 and S^1 x B^3]\n"
-        "simply_connected: group: 1  kernel: trivial  [simply connected manifold]\n"
-    )
-
-
-def test_run_session(tmp_path, capsys):
-    session = tmp_path / "session.json"
-    session.write_text(
-        json.dumps(
-            {
-                "manifold": "boundary_connect_sum",
-                "discs": {"d1": json.loads(D1), "d0": {}},
-                "queries": [
-                    {"kind": "compare", "discs": ["d1", "d0"]},
-                    {"kind": "invariant", "disc": "d1"},
-                ],
-            }
-        )
-    )
-    code = main(["run", str(session)])
-    assert code == 0
-    assert capsys.readouterr().out == "NOT_ISOTOPIC  certificate: t + t^-1\nt + t^-1\n"
-
-
-def test_run_deterministic(tmp_path, capsys):
-    session = tmp_path / "session.json"
-    session.write_text(
-        json.dumps(
-            {
-                "manifold": "connect_sum",
-                "discs": {"d": {"sr_discs": [{"sign": 1, "word": "t^-2"}]}},
-                "queries": [{"kind": "invariant", "disc": "d"}, {"kind": "reduce", "element": "t^-1"}],
-            }
-        )
-    )
-    outputs = set()
-    for _ in range(2):
-        assert main(["run", str(session)]) == 0
-        outputs.add(capsys.readouterr().out)
-    assert len(outputs) == 1
-
-
-def test_parse_error_exit_code(capsys):
-    code = main(["reduce", "--preset", "connect_sum", "--element", "t^"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "parse error" in captured.err
+    out = capsys.readouterr().out
+    assert (code, main(["presets"])) == (0, 0)
+    assert out == capsys.readouterr().out
 
 
 def test_missing_operator_between_terms_is_a_parse_error(capsys):
@@ -176,27 +73,6 @@ def test_missing_operator_between_terms_is_a_parse_error(capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == "parse error: expected '+' or '-' between terms (at position 2)\n"
-
-
-def test_validation_error_exit_code(capsys):
-    code = main(["reduce", "--preset", "connect_sum", "--element", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "validation error" in captured.err
-
-
-def test_bad_json_file_exit_code(tmp_path, capsys):
-    broken = tmp_path / "broken.json"
-    broken.write_text('{"double_tubes": [')
-    code = main(["invariant", "--preset", "connect_sum", "--disc", str(broken)])
-    assert code == 1
-    assert "parse error" in capsys.readouterr().err
-
-
-def test_missing_file_exit_code(tmp_path, capsys):
-    code = main(["invariant", "--preset", "connect_sum", "--disc", str(tmp_path / "nope.json")])
-    assert code == 2
-    assert "cannot read" in capsys.readouterr().err
 
 
 FILE_ROLES = {
@@ -247,24 +123,6 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "daxcalc" in capsys.readouterr().out
-
-
-def test_verbose_writes_to_stderr_only(disc_files, capsys):
-    d1, d0 = disc_files
-    main(["compare", "--preset", "boundary_connect_sum", d1, d0])
-    plain = capsys.readouterr()
-    main(["compare", "--preset", "boundary_connect_sum", d1, d0, "--verbose"])
-    verbose = capsys.readouterr()
-    assert verbose.out == plain.out
-    assert "manifold:" in verbose.err
-
-
-def test_invalid_disc_data_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"double_tubes": ["t"]}')
-    code = main(["invariant", "--preset", "boundary_connect_sum", "--disc", str(bad)])
-    assert code == 2
-    assert "2-torsion" in capsys.readouterr().err
 
 
 DEEP_JSON = "[" * 1000 + "]" * 1000

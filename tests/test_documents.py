@@ -159,7 +159,7 @@ def test_disc_round_trip_fuzz():
 @pytest.mark.parametrize(
     "obj, fragment",
     [
-        ({"sr_discs": [{"sign": 2, "word": "t"}]}, "sign must be 1 or -1"),
+        ({"sr_discs": [{"sign": 2, "word": "t"}]}, "sign must be +1 or -1"),
         ({"sr_discs": [{"sign": True, "word": "t"}]}, "expected an integer"),
         ({"sr_discs": [{"sign": 1}]}, "missing required key 'word'"),
         ({"sr_discs": [{"sign": 1, "word": "t", "extra": 0}]}, "unknown key"),
@@ -303,7 +303,7 @@ ITEM_ERRORS = [
     (_disc, {"double_tubes": ["t", "z"]}, ParseError,
      "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", None),
     (_disc, {"sr_discs": [SIGNED_T, {"sign": 2, "word": "t"}]}, ValidationError,
-     "disc.sr_discs[1].sign: sign must be 1 or -1, got 2", "disc.sr_discs[1].sign"),
+     "disc.sr_discs[1].sign: sign must be +1 or -1, got 2", "disc.sr_discs[1].sign"),
     (_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t a a"}]}, ParseError,
      "disc.sr_discs[1].word: unexpected trailing input (at position 2)", None),
     (session_from_json, _session({"kind": "invariant", "disc": "d"}, 5), ValidationError,

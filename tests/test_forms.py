@@ -3,6 +3,7 @@ import random
 import pytest
 
 from daxcalc import (
+    PRESET_IDS,
     Factor,
     GroupSpec,
     ManifoldModel,
@@ -184,6 +185,11 @@ def test_preset_manifold_round_trip_with_normalize():
     t = manifold.group.generator("t")
     data = SRData((), ((1, t), (1, ~t)))
     assert normalize(data, manifold) == SRData((), ((1, t), (1, ~t)))
+
+
+def test_instantiate_is_stable():
+    for preset_id in PRESET_IDS:
+        assert instantiate(preset_id) is instantiate(preset_id)
 
 
 def test_concat_rejects_an_entry_that_is_not_an_element():

@@ -24,6 +24,7 @@ import random
 from daxcalc import ExplicitKernel, Factor, GroupSpec, RingElement, hermite_normal_form
 
 from helpers import (
+    outcome,
     random_nontrivial,
     random_ring_element,
     random_spec,
@@ -35,15 +36,6 @@ CASES = 3000
 # the benchmark's explicit-kernel group
 WORKLOAD_SPEC = GroupSpec((Factor("a", 2), Factor("b", 3), Factor("t")))
 COEFFS = [c for c in range(-9, 10) if c]
-
-
-def outcome(fn, *args):
-    """str() of the result, or the error class and message."""
-    try:
-        result = fn(*args)
-    except Exception as exc:  # the class is part of what is compared
-        return type(exc).__name__, str(exc)
-    return "ok", str(result)
 
 
 def random_generators(rng, spec):

@@ -53,6 +53,7 @@ FOREIGN = GroupSpec((Factor("z", 2),))
 
 
 def outcome(fn, *args):
+    """Not helpers.outcome: the unchecked merge may raise only a DaxError, and values, not str(), must be equal."""
     try:
         return "value", fn(*args)
     except DaxError as exc:

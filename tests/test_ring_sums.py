@@ -23,6 +23,7 @@ from daxcalc import (
 )
 
 from helpers import (
+    outcome,
     random_element,
     random_kernel,
     random_nontrivial,
@@ -40,17 +41,6 @@ from helpers import (
 
 CASES = 3000
 BAD_SIGNS = (0, 2, -2, True)
-
-
-def outcome(fn, *args):
-    """str() of the result, or the error class and message."""
-    try:
-        result = fn(*args)
-    except Exception as exc:  # the class is part of what is compared
-        return type(exc).__name__, str(exc)
-    if isinstance(result, tuple):  # DaxValue
-        return "ok", str(result.value), result.dropped
-    return "ok", str(result)
 
 
 def random_points(rng, spec, other):

@@ -75,6 +75,7 @@ ERROR_ORDER = [
 
 
 def outcome(parser, text):
+    """Not helpers.outcome: a parser may raise only a DaxError, and its position is compared too."""
     try:
         return "value", parser(text, SPEC)
     except DaxError as exc:
