@@ -7,7 +7,10 @@ which covers every fundamental group the calculator works with (free groups,
 finite cyclic groups and their free products, and the trivial group as the
 empty product).  Every word _merge builds (a parse, product, inverse or power)
 shares one (index, exponent) pair per syllable with |exponent| <= 16 from a
-table fixed when its spec is built; input never makes the table grow.
+table fixed when its spec is built; a second maps each printed spelling with
+1 <= |exponent| <= 16 ("t", "t^-3") to its pair for words.py.  Each holds at
+most 32 entries per factor, a spec at most _MAX_FACTORS factors, and input
+never makes either grow.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import ValidationError, _iterate, _require, _require_iter
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"  # a factor name; words.py builds its word patterns from it
 _NAME_RE = re.compile(_NAME + r"\Z")
+_MAX_FACTORS = 256  # bounds the per-factor tables: about 6 KiB each for short names
 
 
 @dataclass(frozen=True)
@@ -48,14 +52,18 @@ class GroupSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(_require_iter(self.factors, "factors must be an iterable of Factor")))
+        if len(self.factors) > _MAX_FACTORS:
+            raise ValidationError(f"a group may have at most {_MAX_FACTORS} factors, got {len(self.factors)}")
         for i, f in enumerate(self.factors):
             if not isinstance(f, Factor):
                 raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
-        # the name, order and pair tables are not fields, so ==, hash and repr see only the factors
+        # the name, order, pair and spelling tables are not fields, so ==, hash and repr see only the factors
         object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
         object.__setattr__(self, "_orders", tuple(f.order for f in self.factors))
         # _merge's one shared (index, exp) per reduced syllable with |exp| <= 16; input never adds to it
         object.__setattr__(self, "_pairs", tuple({e: (i, e) for e in range(-16, 17) if e and (f.order is None or 0 < e < f.order)} for i, f in enumerate(self.factors)))
+        # words._syllables' one lookup per spelling with 1 <= |exp| <= 16; the raw (unreduced) pair, _pairs' where it has one
+        object.__setattr__(self, "_spellings", {f.name if e == 1 else f"{f.name}^{e}": self._pairs[i].get(e) or (i, e) for i, f in enumerate(self.factors) for e in range(-16, 17) if e})
         if len(self._index) != len(self.factors):
             raise ValidationError("factor names must be pairwise distinct")
 

@@ -12,9 +12,10 @@ longer digit run is a ParseError at its first digit.  Canonical output is
 produced by str() on GroupElement and RingElement; parse and str round-trip.
 
 Accept, then locate: one fullmatch of the grammar accepts well-formed text;
-only then do str splits on whitespace, "*" and "^" read its syllables, which
-go to GroupSpec._merge unchecked.  _locate alone raises errors; the only
-values it builds are the words of the terms it walks.
+only then do str splits on whitespace and "*" cut its syllables.  Each is one
+lookup in its spec's fixed table of printed spellings, or else is split at
+"^", and all go to GroupSpec._merge unchecked.  _locate alone raises errors;
+the only values it builds are the words of the terms it walks.
 Classes are ASCII, and no pattern has two optional whitespace runs side by
 side: rejection is linear.
 """
@@ -97,8 +98,9 @@ def _locate(text: str, spec: GroupSpec, ring: bool) -> NoReturn:
 
 def _syllables(word: str, spec: GroupSpec) -> list[tuple[int, int]]:
     """The (factor index, exponent) pairs of a word _WORD or _TERM accepted; KeyError or ValueError if unreadable."""
+    spellings, index = spec._spellings, spec._index  # a spelling not in the table ("t^1", "t^17") is split at "^"
     pieces = "".join(word.split()).split("*")
-    return [(spec._index[name], int(exp or 1)) for name, _, exp in (piece.partition("^") for piece in pieces)]
+    return [spellings.get(p) or (index[(split := p.partition("^"))[0]], int(split[2] or 1)) for p in pieces]
 
 
 def parse_word(text: str, spec: GroupSpec) -> GroupElement:

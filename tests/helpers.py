@@ -265,10 +265,11 @@ def reference_invert(g: GroupElement) -> GroupElement:
 # and the inverse-pairs fold, and the direct-construction monomial, from before
 # each ring value was summed in one dict and built once; kept verbatim (only the
 # names changed, and the inverse-pairs method is a function) as references for
-# the differential tests.
+# the differential tests.  One rule changed since: the monomial's zero test
+# takes only an int 0, as monomial does since it drops only an int 0.
 def reference_monomial(g: GroupElement, coeff: int) -> RingElement:
-    """The single-term combination coeff*g; coeff 0 gives zero."""
-    if coeff == 0:
+    """The single-term combination coeff*g; only an int 0 gives zero."""
+    if type(coeff) is int and coeff == 0:
         return RingElement.zero(g.spec)
     if g.is_identity:
         raise ValidationError("monomial requires a nontrivial group element")

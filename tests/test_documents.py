@@ -166,6 +166,8 @@ def test_disc_round_trip_fuzz():
         ({"double_tubes": [1]}, "expected a string"),
         ({"tubes": []}, "unknown key"),
     ],
+    # named after the faulty field, so editing a message does not rename a test
+    ids=["sign-out-of-range", "sign-bool", "word-missing", "extra-key", "tube-not-string", "unknown-top-key"],
 )
 def test_disc_schema_errors(obj, fragment):
     with pytest.raises(ValidationError) as excinfo:

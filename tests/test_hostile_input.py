@@ -10,6 +10,11 @@ explicit kernel's size is not bounded yet, and a grown one would measure the
 HNF, not the input layer.  Each case must finish within BOUND_S of
 perf_counter time; on a 2-vCPU container the slowest of the 300 takes
 about 20 ms.
+
+One more session has a group of 10,000 infinite cyclic factors (319 KB of
+JSON).  A spec keeps fixed tables of about 6 KiB per factor, so the factor
+count is limited: the session ends in one validation error naming the count,
+before any table is built, while a group at the limit still runs.
 """
 
 import json
@@ -118,3 +123,26 @@ def test_hostile_sessions_end_in_one_line_of_diagnosis(tmp_path, capsys):
             assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, f"{context}: {err!r}"
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def many_factors_session(count: int) -> str:
+    factors = [{"type": "Z", "name": f"x{i}"} for i in range(count)]
+    discs = {"d0": {"sr_discs": [{"sign": 1, "word": f"x{count - 1}^16*x0^-3"}]}}
+    return json.dumps({
+        "manifold": {"group": {"factors": factors}, "dax_kernel": {"preset": "inverse_pairs"}},
+        "discs": discs,
+        "queries": [{"kind": "invariant", "disc": "d0"}],
+    })
+
+
+def test_a_group_past_the_factor_limit_is_one_validation_error(tmp_path, capsys):
+    code, out, err, elapsed = run(tmp_path, capsys, many_factors_session(10_000))
+    session = tmp_path / "session.json"
+    expected = f"validation error: {session}.manifold.group.factors: a group may have at most 256 factors, got 10000\n"
+    assert (code, out, err) == (2, "", expected)
+    assert elapsed < BOUND_S, f"took {elapsed:.2f} s"
+
+
+def test_a_group_at_the_factor_limit_runs(tmp_path, capsys):
+    code, out, err, _ = run(tmp_path, capsys, many_factors_session(256))
+    assert (code, out, err) == (0, "2*x0^3*x255^-16\n", "")  # the inverse-pairs fold of x255^16*x0^-3 and its inverse

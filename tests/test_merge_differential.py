@@ -11,9 +11,18 @@ The merge takes each syllable with |exponent| <= 16 from one table per spec,
 so every path that reaches it (parse_word, parse_ringexpr terms,
 GroupSpec.element, *, ~ and **) is also checked on exponents inside and
 outside that range, over finite factors whose order is above and below it.
-Sharing is checked through public attributes only: words built separately
-hold the same syllable objects, an exponent outside the range gets its own,
-and a copied or unpickled spec builds equal, still shared words.
+Sharing is checked through public attributes: words built separately hold
+the same syllable objects, an exponent outside the range gets its own, and a
+copied or unpickled spec builds equal, still shared words.
+
+The parsers read a syllable spelled as str() prints it ("t", "t^-16") with one
+lookup in a second fixed table per spec, and any other spelling ("t^1",
+"t^+1", "t^01", "t^-0", "t^17") with a split at "^".  A fixed-seed
+differential against the reference parsers in helpers covers spellings on
+both sides of the table's edges, over finite factors whose raw exponents
+wrap.  The table itself is checked through its private attributes: 32
+entries per factor, whatever is decoded, and each value the very pair the
+merge's table holds wherever it holds one, also in a copied or unpickled spec.
 """
 
 import copy
@@ -46,6 +55,8 @@ from helpers import (
     reference_invert,
     reference_mul,
     reference_normalize,
+    reference_parse_ringexpr,
+    reference_parse_word,
 )
 
 CASES = 3000
@@ -304,3 +315,61 @@ def test_a_copied_or_unpickled_spec_builds_equal_shared_words():
             assert_same(g * SHARED.element(syllables), reference_mul(g, g))
         assert parse_word("t^3", copied).syllables[0] is parse_word("a*t^3", copied).syllables[1]
         assert pickle.loads(pickle.dumps(parse_word("t^3*b^9", SHARED))) == parse_word("t^3*b^9", copied)
+        assert copied._spellings == SHARED._spellings
+        assert_spellings_share_pairs(copied)
+
+
+EDGES = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 3), Factor("c", 16), Factor("d", 17)))
+# the table holds "x" and "x^e" for 1 <= |e| <= 16, e != 1; the rest are read by the split
+EDGE_EXPONENTS = ("", "^16", "^-16", "^17", "^-17", "^1", "^+1", "^01", "^-0", "^0", "^-1", "^2", "^- 3", "^ +16", "^0016")
+
+
+def edge_word(rng: random.Random) -> str:
+    names = [f.name for f in EDGES.factors]
+    pieces = [(rng.choice(names) if rng.random() > 0.03 else "z") + rng.choice(EDGE_EXPONENTS) for _ in range(rng.randint(1, 6))]
+    return "".join(piece + rng.choice(("*", " * ", "*\t")) for piece in pieces[:-1]) + pieces[-1]
+
+
+def test_parsers_match_the_reference_at_the_spelling_table_edges():
+    rng = random.Random(708)
+    for _ in range(CASES):
+        word = edge_word(rng)
+        got, ref = outcome(parse_word, word, EDGES), outcome(reference_parse_word, word, EDGES)
+        assert got == ref, word
+        if got[0] == "value":
+            assert_same(got[1], ref[1])
+        terms = [f"{rng.choice(('+', '-'))} {rng.choice(('', '1*', '3*'))}{edge_word(rng)}" for _ in range(rng.randint(1, 4))]
+        text = " ".join(terms).removeprefix("+ ")
+        got, ref = outcome(parse_ringexpr, text, EDGES), outcome(reference_parse_ringexpr, text, EDGES)
+        assert got == ref, text
+        if got[0] == "value":  # equal elements: same terms and coefficients
+            for (g, _), (ref_g, _) in zip(got[1].terms, ref[1].terms):
+                assert_same(g, ref_g)
+
+
+def assert_spellings_share_pairs(spec: GroupSpec) -> None:
+    """Each table value is its spelling's raw pair, and _pairs' own tuple wherever _pairs has that pair."""
+    shared = 0
+    for spelling, pair in spec._spellings.items():
+        name, _, exp = spelling.partition("^")
+        assert pair == (spec.index_of(name), int(exp or 1)), spelling
+        own = spec._pairs[pair[0]].get(pair[1])
+        assert own is None or pair is own, spelling
+        shared += own is not None
+    assert shared == sum(map(len, spec._pairs))  # every pair _merge shares has its spelling
+
+
+def test_the_spelling_table_holds_32_entries_per_factor_and_never_grows():
+    spec = GroupSpec(EDGES.factors)  # built here, so only what this test decodes reaches it
+    expected = {f.name if e == 1 else f"{f.name}^{e}" for f in spec.factors for e in range(-16, 17) if e}
+    assert set(spec._spellings) == expected and len(spec._spellings) == 32 * len(spec.factors)
+    before = dict(spec._spellings)
+    for text in ("t^100000", "t^1", "t^+1", "t^01", "t^-0", "t^17", "t^-17", "d^17", "a^16*b^-16", "z", "t^1*z^2"):
+        outcome(parse_word, text, spec)
+        outcome(parse_ringexpr, f"2*{text} - t", spec)
+    assert spec._spellings == before and all(spec._spellings[s] is before[s] for s in before)
+
+
+def test_every_spelling_shares_the_merge_tables_pair():
+    for spec in (EDGES, SHARED, GroupSpec(()), GroupSpec((Factor("x", 40), Factor("y")))):
+        assert_spellings_share_pairs(spec)

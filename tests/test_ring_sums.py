@@ -95,7 +95,7 @@ def test_ring_sums_match_the_per_term_references():
         folded = InversePairsKernel().reduce(x)  # built without the constructor's checks, so run them
         assert type(folded.terms) is tuple and RingElement(spec, folded.terms) == folded
 
-        coeff = rng.randint(-3, 3)
+        coeff = rng.choice((0.0, -0.0, False)) if rng.random() < 0.1 else rng.randint(-3, 3)  # a zero that is not an int
         assert outcome(monomial, g, coeff) == outcome(reference_monomial, g, coeff)
 
 

@@ -9,6 +9,10 @@ the decoded document still holds once the JSON object is freed, divided by the
 number of syllables.  On CPython 3.11 that is about 17 B per syllable; a fresh
 56-byte tuple per syllable gave about 73 B.  The bound of BOUND_B = 32 B sits
 between the two.
+
+The spec's own tables (shared pairs and printed spellings) cost a fixed
+amount per factor, and a spec has at most 256 factors: one at that limit
+keeps about 1.4 MiB on CPython 3.11, under the bound of SPEC_BOUND_B = 2 MiB.
 """
 
 import gc
@@ -16,11 +20,13 @@ import json
 import random
 import tracemalloc
 
+from daxcalc import Factor, GroupSpec
 from daxcalc.documents import load_json, session_from_json
 
 FACTORS = (("x", None), ("y", None), ("a", 2), ("b", 3))
 WORDS, SYLLABLES, PER_DISC = 300, 30, 5
 BOUND_B = 32
+SPEC_BOUND_B = 2 * 2**20
 
 
 def word(rng: random.Random) -> str:
@@ -60,3 +66,17 @@ def test_a_decoded_session_keeps_a_bounded_number_of_bytes_per_syllable():
     syllables = sum(len(g.syllables) for disc in doc.discs.values() for _, g in disc.sr_discs)
     assert syllables == WORDS * SYLLABLES
     assert kept / syllables <= BOUND_B, f"{kept} B kept for {syllables} syllables"
+
+
+def test_a_spec_at_the_factor_limit_keeps_a_bounded_number_of_bytes():
+    factors = tuple(Factor(f"x{i}") for i in range(256))  # infinite cyclic: the largest pair tables
+    gc.collect()
+    tracemalloc.start()
+    try:
+        spec = GroupSpec(factors)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(spec.factors) == 256
+    assert kept <= SPEC_BOUND_B, f"{kept} B kept by a spec of 256 factors"
