@@ -35,7 +35,7 @@ from .forms import ManifoldModel, SRData, instantiate, normalize
 from .groups import Factor, GroupElement, GroupSpec
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 from .pairing import dax_value
-from .ring import RingElement, _sign_problem
+from .ring import _sign_problem
 from .words import parse_ringexpr, parse_word
 
 PointList = tuple[tuple[int, GroupElement], ...]
@@ -76,13 +76,13 @@ def _object(value: Any, path: str, required: set, optional: set = frozenset()) -
 
 
 def _at(path: str, build, *args):
-    """build(*args), with any ParseError or ValidationError it raises re-raised under path."""
+    """build(*args), its ParseError or ValidationError re-raised under path; an error's own path goes below path."""
     try:
         return build(*args)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except ValidationError as exc:
-        raise ValidationError(str(exc), path) from None
+        raise ValidationError(exc.message, path if exc.path is None else f"{path}.{exc.path}") from None
 
 
 def _list(value: Any, path: str, decode, *args) -> tuple:
@@ -137,14 +137,6 @@ def group_to_json(spec: GroupSpec) -> dict:
 _KERNEL_PRESETS = {kernel().describe(): kernel for kernel in (TrivialKernel, InversePairsKernel)}
 
 
-def _generator(value: Any, spec: GroupSpec, path: str) -> RingElement:
-    """A kernel generator, rejected here when zero, before any later entry is parsed."""
-    gen = _field(value, parse_ringexpr, spec, path)
-    if gen.is_zero:
-        raise ValidationError("kernel generator must be nonzero", path)
-    return gen
-
-
 def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> KernelSpec:
     data = _expect(obj, dict, path)
     if "preset" in data:
@@ -156,7 +148,8 @@ def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> Ker
         return _KERNEL_PRESETS[name]()
     if "generators" in data:
         _object(data, path, {"generators"})
-        return ExplicitKernel(_list(data["generators"], f"{path}.generators", _generator, spec))
+        gens = _list(data["generators"], f"{path}.generators", _field, parse_ringexpr, spec)
+        return _at(path, ExplicitKernel, gens)
     raise ValidationError("kernel needs either a 'preset' or a 'generators' key", path)
 
 

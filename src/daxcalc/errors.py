@@ -2,11 +2,12 @@
 
 Parse errors carry a character position into the offending text; validation
 errors describe semantic problems (bad group data, mismatched specs, broken
-document schemas) and carry a field path when one exists.  Library entry
-points check an argument's type through _require (isinstance) or
+document schemas) and carry a field path when one exists.  A library error's
+path is relative to the argument it names ("generators[1]"), and
+documents._at puts it under the document's own path.  Library entry points
+check an argument's type through the two guards _require (isinstance) and
 _require_iter (iter), the only places that write "<what>, got <type name>";
-documents._expect keeps its own JSON type names.  Constructors whose message
-names no type use _iterate, iter with that exact message.
+documents._expect keeps its own JSON type names.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ class ParseError(DaxError):
 
 class ValidationError(DaxError):
     def __init__(self, message: str, path: str | None = None):
-        self.path = path
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
+        self.message, self.path = message, path  # message without the path prefix
+        super().__init__(message if path is None else f"{path}: {message}")
 
 
 def _require(value, types, what: str):
@@ -46,10 +45,3 @@ def _require_iter(value, what: str):
     except TypeError:
         raise ValidationError(f"{what}, got {type(value).__name__}") from None
 
-
-def _iterate(value, message: str):
-    """iter(value), else ValidationError(message); errors raised while it is walked pass through."""
-    try:
-        return iter(value)
-    except TypeError:
-        raise ValidationError(message) from None

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ValidationError, _iterate, _require
+from .errors import ValidationError, _require, _require_iter
 from .groups import Factor, GroupElement, GroupSpec, canonical_key
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 from .ring import _sign_problem
@@ -42,8 +42,8 @@ class SRData:
 
     def __post_init__(self):
         what = "double_tubes and sr_discs must be sequences"
-        object.__setattr__(self, "double_tubes", tuple(_iterate(self.double_tubes, what)))
-        discs = tuple(_iterate(self.sr_discs, what))
+        object.__setattr__(self, "double_tubes", tuple(_require_iter(self.double_tubes, what)))
+        discs = tuple(_require_iter(self.sr_discs, what))
         for j, disc in enumerate(discs):
             if not isinstance(disc, (tuple, list)) or len(disc) != 2:
                 raise ValidationError(f"sr_discs[{j}]: disc must be a (sign, element) pair")

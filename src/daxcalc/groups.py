@@ -9,8 +9,8 @@ empty product).  Every word _merge builds (a parse, product, inverse or power)
 shares one (index, exponent) pair per syllable with |exponent| <= 16 from a
 table fixed when its spec is built; a second maps each printed spelling with
 1 <= |exponent| <= 16 ("t", "t^-3") to its pair for words.py.  Each holds at
-most 32 entries per factor, a spec at most _MAX_FACTORS factors, and input
-never makes either grow.
+most 32 entries per factor, a spec at most _MAX_FACTORS factors of names of
+at most _MAX_NAME characters, and input never makes either grow.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .errors import ValidationError, _iterate, _require, _require_iter
+from .errors import ValidationError, _require, _require_iter
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"  # a factor name; words.py builds its word patterns from it
 _NAME_RE = re.compile(_NAME + r"\Z")
 _MAX_FACTORS = 256  # bounds the per-factor tables: about 6 KiB each for short names
+_MAX_NAME = 64  # the spelling table holds 31 copies of each name
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,8 @@ class Factor:
     order: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.name, str) and len(self.name) > _MAX_NAME:  # before the regex walks it
+            raise ValidationError(f"a factor name may have at most {_MAX_NAME} characters, got {len(self.name)}")
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise ValidationError(f"invalid factor name {self.name!r}")
         if self.order is not None and type(self.order) is not int:
@@ -59,13 +62,13 @@ class GroupSpec:
                 raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
         # the name, order, pair and spelling tables are not fields, so ==, hash and repr see only the factors
         object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
+        if len(self._index) != len(self.factors):
+            raise ValidationError("factor names must be pairwise distinct")
         object.__setattr__(self, "_orders", tuple(f.order for f in self.factors))
         # _merge's one shared (index, exp) per reduced syllable with |exp| <= 16; input never adds to it
         object.__setattr__(self, "_pairs", tuple({e: (i, e) for e in range(-16, 17) if e and (f.order is None or 0 < e < f.order)} for i, f in enumerate(self.factors)))
         # words._syllables' one lookup per spelling with 1 <= |exp| <= 16; the raw (unreduced) pair, _pairs' where it has one
         object.__setattr__(self, "_spellings", {f.name if e == 1 else f"{f.name}^{e}": self._pairs[i].get(e) or (i, e) for i, f in enumerate(self.factors) for e in range(-16, 17) if e})
-        if len(self._index) != len(self.factors):
-            raise ValidationError("factor names must be pairwise distinct")
 
     @property
     def is_trivial(self) -> bool:
@@ -131,7 +134,7 @@ class GroupElement:
     def __post_init__(self):
         _require(self.spec, GroupSpec, "element spec must be a GroupSpec")
         what = "syllables must be (factor index, exponent) pairs"
-        entries = tuple(_iterate(self.syllables, what))  # outside the try: the caller's own TypeError passes
+        entries = tuple(_require_iter(self.syllables, what))  # outside the try: the caller's own TypeError passes
         try:
             object.__setattr__(self, "syllables", tuple(map(tuple, entries)))
             orders, prev = self.spec._orders, None

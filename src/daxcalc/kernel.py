@@ -30,7 +30,7 @@ from functools import cached_property
 from math import gcd
 from typing import Collection, Iterable, Union
 
-from .errors import ValidationError, _iterate, _require, _require_iter
+from .errors import ValidationError, _require, _require_iter
 from .groups import canonical_key
 from .ring import RingElement
 
@@ -75,9 +75,9 @@ class ExplicitKernel:
         object.__setattr__(self, "generators", tuple(_require_iter(self.generators, "generators must be an iterable of ring elements")))
         for i, gen in enumerate(self.generators):
             if not isinstance(gen, RingElement):
-                raise ValidationError(f"generators[{i}]: kernel generator must be a ring element")
+                raise ValidationError("kernel generator must be a ring element", f"generators[{i}]")
             if gen.is_zero:
-                raise ValidationError(f"generators[{i}]: kernel generator must be nonzero")
+                raise ValidationError("kernel generator must be nonzero", f"generators[{i}]")
         specs = {gen.spec for gen in self.generators}
         if len(specs) > 1:
             raise ValidationError("kernel generators must share one group spec")
@@ -125,7 +125,7 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tu
     a pivot lie in [0, pivot), and the rows span the same lattice as the input.
     """
     what = "rows must be integer lists"
-    mat = [list(_iterate(row, what)) for row in _iterate(rows, what)]
+    mat = [list(_require_iter(row, what)) for row in _require_iter(rows, what)]
     n_cols = len(mat[0]) if mat else 0
     if any(len(row) != n_cols or set(map(type, row)) - {int} for row in mat):  # bool and int subclasses too
         raise ValidationError(f"rows must be integer lists as long as rows[0] ({n_cols})")

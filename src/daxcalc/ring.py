@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError, _iterate, _require
+from .errors import ValidationError, _require, _require_iter
 from .groups import GroupElement, GroupSpec, canonical_key
 
 
@@ -30,7 +30,7 @@ class RingElement:
     def __post_init__(self):
         _require(self.spec, GroupSpec, "ring element spec must be a GroupSpec")
         what = "terms must be (group element, coefficient) pairs"
-        entries = tuple(_iterate(self.terms, what))  # outside the try: the caller's own TypeError passes
+        entries = tuple(_require_iter(self.terms, what))  # outside the try: the caller's own TypeError passes
         try:
             object.__setattr__(self, "terms", tuple(map(tuple, entries)))
             keys = []

@@ -5,6 +5,11 @@ The cases cover every function in test_api's PINNED_FUNCTIONS and every
 public constructor and method that takes an argument, except the named
 exemptions; test_every_public_callable_is_swept_or_exempt keeps that list
 complete when the API grows.
+
+ITERABLE_ARGUMENTS is the one table of the container arguments that
+errors._require_iter guards: the full message for one that is not iterable,
+and the caller's own TypeError, raised while the guard's iterator is walked,
+passing through unchanged.
 """
 
 import inspect
@@ -23,7 +28,11 @@ from daxcalc import (
     RingElement,
     SRData,
     TrivialKernel,
+    ValidationError,
+    dax_value,
+    hermite_normal_form,
     monomial,
+    spin_composition_value,
 )
 
 from test_api import PINNED_CLASSES, PINNED_FUNCTIONS
@@ -130,3 +139,37 @@ def test_a_wrong_typed_argument_raises_one_dax_error_line(name, slot):
     with pytest.raises(DaxError) as excinfo:
         function(*args)
     assert "\n" not in str(excinfo.value)
+
+
+# entry point -> (a call with the container in one slot, a valid first entry, the message when it is 5)
+ITERABLE_ARGUMENTS = {
+    "GroupSpec": (GroupSpec, Factor("t"), "factors must be an iterable of Factor, got int"),
+    "GroupSpec.element": (SPEC.element, (0, 1), "syllables must be an iterable of pairs, got int"),
+    "GroupElement": (lambda c: GroupElement(SPEC, c), (0, 1),
+                     "syllables must be (factor index, exponent) pairs, got int"),
+    "RingElement": (lambda c: RingElement(SPEC, c), (T, 1),
+                    "terms must be (group element, coefficient) pairs, got int"),
+    "SRData-double_tubes": (SRData, A, "double_tubes and sr_discs must be sequences, got int"),
+    "SRData-sr_discs": (lambda c: SRData((), c), (1, T), "double_tubes and sr_discs must be sequences, got int"),
+    "ExplicitKernel": (ExplicitKernel, monomial(T, 2), "generators must be an iterable of ring elements, got int"),
+    "hermite_normal_form-rows": (hermite_normal_form, [2, 1], "rows must be integer lists, got int"),
+    "hermite_normal_form-row": (lambda c: hermite_normal_form([c]), 2, "rows must be integer lists, got int"),
+    "dax_value": (lambda c: dax_value(c, SPEC), (1, T), "points must be an iterable of pairs, got int"),
+    "spin_composition_value": (lambda c: spin_composition_value(c, SPEC), (1, T),
+                               "spins must be an iterable of pairs, got int"),
+}
+
+
+def entries_then_a_type_error(first):
+    yield first
+    raise TypeError("from inside the walk")
+
+
+@pytest.mark.parametrize("name", ITERABLE_ARGUMENTS)
+def test_container_guard_message_and_pass_through(name):
+    call, first, message = ITERABLE_ARGUMENTS[name]
+    with pytest.raises(ValidationError) as excinfo:
+        call(5)
+    assert str(excinfo.value) == message
+    with pytest.raises(TypeError, match="^from inside the walk$"):
+        call(entries_then_a_type_error(first))

@@ -52,28 +52,6 @@ def test_group_round_trip():
     assert group_from_json({"factors": []}).is_trivial
 
 
-@pytest.mark.parametrize(
-    "obj, fragment",
-    [
-        ([], "expected an object"),
-        ({}, "missing required key"),
-        ({"factors": {}}, "expected a list"),
-        ({"factors": [{"type": "Q", "name": "t"}]}, "factor type"),
-        ({"factors": [{"type": "Z"}]}, "missing required key 'name'"),
-        ({"factors": [{"type": "Z", "name": "t", "n": 2}]}, "unknown key"),
-        ({"factors": [{"type": "Zn", "name": "a", "n": 1}]}, "order >= 2"),
-        ({"factors": [{"type": "Zn", "name": "a", "n": "2"}]}, "expected an integer"),
-        ({"factors": [{"type": "Z", "name": "t"}, {"type": "Z", "name": "t"}]}, "distinct"),
-        ({"factors": [{"type": "Z", "name": "bad name"}]}, "invalid factor name"),
-    ],
-)
-def test_group_schema_errors(obj, fragment):
-    with pytest.raises(ValidationError) as excinfo:
-        group_from_json(obj, "group")
-    assert fragment in str(excinfo.value)
-    assert "group" in str(excinfo.value)
-
-
 def test_kernel_round_trip():
     for kernel in (
         TrivialKernel(),
@@ -81,38 +59,6 @@ def test_kernel_round_trip():
         ExplicitKernel((parse_ringexpr("t - t^-1", SPEC),)),
     ):
         assert kernel_from_json(kernel_to_json(kernel), SPEC) == kernel
-
-
-@pytest.mark.parametrize(
-    "obj, fragment",
-    [
-        ({}, "'preset' or a 'generators'"),
-        ({"preset": "huge"}, "unknown kernel preset"),
-        ({"preset": "trivial", "generators": []}, "unknown key"),
-        ({"generators": ["t - t"]}, "must be nonzero"),
-        ({"generators": ["1"]}, "identity"),
-        ({"generators": [5]}, "expected a string"),
-    ],
-)
-def test_kernel_schema_errors(obj, fragment):
-    with pytest.raises(ValidationError) as excinfo:
-        kernel_from_json(obj, SPEC)
-    assert fragment in str(excinfo.value)
-
-
-def test_kernel_generator_parse_error_carries_path():
-    with pytest.raises(ParseError) as excinfo:
-        kernel_from_json({"generators": ["t +"]}, SPEC)
-    assert "dax_kernel.generators[0]" in str(excinfo.value)
-
-
-def test_manifold_round_trip():
-    manifold = ManifoldModel(SPEC, InversePairsKernel(), "a label")
-    obj = manifold_to_json(manifold)
-    assert manifold_from_json(obj) == manifold
-    for preset in ("boundary_connect_sum", "connect_sum", "simply_connected"):
-        m = instantiate(preset)
-        assert manifold_from_json(manifold_to_json(m)) == m
 
 
 def test_manifold_json_round_trips_every_preset_and_a_labelled_inline_manifold():
@@ -156,33 +102,12 @@ def test_disc_round_trip_fuzz():
         assert disc_from_json(disc_to_json(data), spec) == data
 
 
-@pytest.mark.parametrize(
-    "obj, fragment",
-    [
-        ({"sr_discs": [{"sign": 2, "word": "t"}]}, "sign must be +1 or -1"),
-        ({"sr_discs": [{"sign": True, "word": "t"}]}, "expected an integer"),
-        ({"sr_discs": [{"sign": 1}]}, "missing required key 'word'"),
-        ({"sr_discs": [{"sign": 1, "word": "t", "extra": 0}]}, "unknown key"),
-        ({"double_tubes": [1]}, "expected a string"),
-        ({"tubes": []}, "unknown key"),
-    ],
-    # named after the faulty field, so editing a message does not rename a test
-    ids=["sign-out-of-range", "sign-bool", "word-missing", "extra-key", "tube-not-string", "unknown-top-key"],
-)
-def test_disc_schema_errors(obj, fragment):
-    with pytest.raises(ValidationError) as excinfo:
-        disc_from_json(obj, SPEC, "disc")
-    assert fragment in str(excinfo.value)
-
-
 def test_point_document():
     points = point_document_from_json(
         {"points": [{"sign": 1, "word": "t"}, {"sign": -1, "word": "1"}]}, SPEC
     )
     assert len(points) == 2
     assert points[1][1].is_identity
-    with pytest.raises(ValidationError):
-        point_document_from_json({"points": [{"sign": 0, "word": "t"}]}, SPEC)
 
 
 SESSION = {
@@ -235,32 +160,6 @@ def test_session_inline_manifold():
     assert execute(doc) == [{"kind": "reduce", "value": "t^3"}]
 
 
-@pytest.mark.parametrize(
-    "obj, fragment",
-    [
-        ({}, "missing required key 'manifold'"),
-        ({"manifold": "nope"}, "unknown preset"),
-        ({"manifold": "connect_sum", "queries": [{"kind": "invariant", "disc": "d"}]}, "undeclared disc"),
-        ({"manifold": "connect_sum", "queries": [{"kind": "slice"}]}, "unknown query kind"),
-        ({"manifold": "connect_sum", "queries": [{"kind": "compare", "discs": ["a"]}]}, "exactly two"),
-        ({"manifold": "connect_sum", "queries": [{"kind": "reduce"}]}, "missing required key 'element'"),
-        ({"manifold": "connect_sum", "extra": 1}, "unknown key"),
-    ],
-)
-def test_session_schema_errors(obj, fragment):
-    with pytest.raises(ValidationError) as excinfo:
-        session_from_json(obj)
-    assert fragment in str(excinfo.value)
-
-
-def test_session_error_paths_point_into_document():
-    with pytest.raises(ValidationError) as excinfo:
-        session_from_json(
-            {"manifold": "connect_sum", "discs": {"d": {"sr_discs": [{"sign": 3, "word": "t"}]}}}
-        )
-    assert "session.discs.d.sr_discs[0].sign" in str(excinfo.value)
-
-
 def _kernel(obj):
     return kernel_from_json(obj, SPEC)
 
@@ -277,56 +176,125 @@ Z_T = {"type": "Z", "name": "t"}
 SIGNED_T = {"sign": 1, "word": "t"}
 
 
-# (decoder, document, error type, full message, .path); a bad entry sits at index 1 after a good one
+def _points(obj):
+    return point_document_from_json(obj, SPEC)
+
+
+# (decoder, document, error type, full message, .path), one row per faulty field;
+# a bad list entry sits at index 1 after a good one.  Each id names the field and
+# not the message, so editing a message renames no test.
 ITEM_ERRORS = [
-    (group_from_json, {"factors": [Z_T, 5]}, ValidationError,
-     "group.factors[1]: expected an object, got int", "group.factors[1]"),
-    (group_from_json, {"factors": [Z_T, {"type": "Q", "name": "b"}]}, ValidationError,
-     "group.factors[1].type: unknown factor type 'Q'; expected 'Z' or 'Zn'", "group.factors[1].type"),
-    (group_from_json, {"factors": [Z_T, {"type": "Zn", "name": "a", "n": "2"}]}, ValidationError,
-     "group.factors[1].n: expected an integer, got str", "group.factors[1].n"),
-    (group_from_json, {"factors": [Z_T, {"type": "Zn", "name": "a", "n": 1}]}, ValidationError,
-     "group.factors[1]: finite factor 'a' must have order >= 2, got 1", "group.factors[1]"),
-    (group_from_json, {"factors": [Z_T, {"type": "Z", "name": 5}]}, ValidationError,
-     "group.factors[1].name: expected a string, got int", "group.factors[1].name"),
-    (group_from_json, {"factors": [Z_T, {"type": "Z", "name": "bad name"}]}, ValidationError,
-     "group.factors[1]: invalid factor name 'bad name'", "group.factors[1]"),
-    (group_from_json, {"factors": [Z_T, Z_T]}, ValidationError,
-     "group.factors: factor names must be pairwise distinct", "group.factors"),
-    (_kernel, {"generators": ["t", "t - t"]}, ValidationError,
-     "dax_kernel.generators[1]: kernel generator must be nonzero", "dax_kernel.generators[1]"),
-    (_kernel, {"generators": ["t", "t +"]}, ParseError,
-     "dax_kernel.generators[1]: expected a factor name (at position 3)", None),
-    (_kernel, {"generators": ["t", "1"]}, ValidationError,
-     "dax_kernel.generators[1]: the identity word '1' is not a valid term: values live in the group ring"
-     " with the identity removed", "dax_kernel.generators[1]"),
-    (_disc, {"double_tubes": ["t", 5]}, ValidationError,
-     "disc.double_tubes[1]: expected a string, got int", "disc.double_tubes[1]"),
-    (_disc, {"double_tubes": ["t", "z"]}, ParseError,
-     "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", None),
-    (_disc, {"sr_discs": [SIGNED_T, {"sign": 2, "word": "t"}]}, ValidationError,
-     "disc.sr_discs[1].sign: sign must be +1 or -1, got 2", "disc.sr_discs[1].sign"),
-    (_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t a a"}]}, ParseError,
-     "disc.sr_discs[1].word: unexpected trailing input (at position 2)", None),
-    (session_from_json, _session({"kind": "invariant", "disc": "d"}, 5), ValidationError,
-     "session.queries[1]: expected an object, got int", "session.queries[1]"),
-    (session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, 5]}), ValidationError,
-     "session.queries[0].points[1]: expected an object, got int", "session.queries[0].points[1]"),
-    (session_from_json, _session({"kind": "compare", "discs": ["d", "e"]}), ValidationError,
-     "session.queries[0].discs[1]: undeclared disc 'e'", "session.queries[0].discs[1]"),
-    (session_from_json, {"manifold": "nope"}, ValidationError,
-     "session.manifold: unknown preset 'nope'; available: boundary_connect_sum, connect_sum, simply_connected",
-     "session.manifold"),
-    # precedence: a zero generator is rejected before a later entry is parsed
-    (_kernel, {"generators": ["t - t", "t +"]}, ValidationError,
-     "dax_kernel.generators[0]: kernel generator must be nonzero", "dax_kernel.generators[0]"),
+    pytest.param(group_from_json, [], ValidationError,
+                 "group: expected an object, got list", "group", id="group-not-an-object"),
+    pytest.param(group_from_json, {}, ValidationError,
+                 "group: missing required key 'factors'", "group", id="group.factors-missing"),
+    pytest.param(group_from_json, {"factors": {}}, ValidationError,
+                 "group.factors: expected a list, got dict", "group.factors", id="group.factors-not-a-list"),
+    pytest.param(group_from_json, {"factors": [Z_T, 5]}, ValidationError,
+                 "group.factors[1]: expected an object, got int", "group.factors[1]", id="group.factors[1]-not-an-object"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Q", "name": "b"}]}, ValidationError,
+                 "group.factors[1].type: unknown factor type 'Q'; expected 'Z' or 'Zn'", "group.factors[1].type",
+                 id="group.factors[1].type"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Z"}]}, ValidationError,
+                 "group.factors[1]: missing required key 'name'", "group.factors[1]", id="group.factors[1].name-missing"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Z", "name": "b", "n": 2}]}, ValidationError,
+                 "group.factors[1]: unknown key 'n'", "group.factors[1]", id="group.factors[1].n-on-Z"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Zn", "name": "a", "n": "2"}]}, ValidationError,
+                 "group.factors[1].n: expected an integer, got str", "group.factors[1].n", id="group.factors[1].n"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Zn", "name": "a", "n": 1}]}, ValidationError,
+                 "group.factors[1]: finite factor 'a' must have order >= 2, got 1", "group.factors[1]",
+                 id="group.factors[1].n-below-2"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Z", "name": 5}]}, ValidationError,
+                 "group.factors[1].name: expected a string, got int", "group.factors[1].name", id="group.factors[1].name"),
+    pytest.param(group_from_json, {"factors": [Z_T, {"type": "Z", "name": "bad name"}]}, ValidationError,
+                 "group.factors[1]: invalid factor name 'bad name'", "group.factors[1]", id="group.factors[1].name-invalid"),
+    pytest.param(group_from_json, {"factors": [Z_T, Z_T]}, ValidationError,
+                 "group.factors: factor names must be pairwise distinct", "group.factors", id="group.factors"),
+    pytest.param(_kernel, {}, ValidationError,
+                 "dax_kernel: kernel needs either a 'preset' or a 'generators' key", "dax_kernel",
+                 id="dax_kernel-neither-key"),
+    pytest.param(_kernel, {"preset": "huge"}, ValidationError,
+                 "dax_kernel.preset: unknown kernel preset 'huge'; expected 'trivial' or 'inverse_pairs'",
+                 "dax_kernel.preset", id="dax_kernel.preset-unknown"),
+    pytest.param(_kernel, {"preset": "trivial", "generators": []}, ValidationError,
+                 "dax_kernel: unknown key 'generators'", "dax_kernel", id="dax_kernel-both-keys"),
+    pytest.param(_kernel, {"generators": ["t", 5]}, ValidationError,
+                 "dax_kernel.generators[1]: expected a string, got int", "dax_kernel.generators[1]",
+                 id="dax_kernel.generators[1]-not-str"),
+    pytest.param(_kernel, {"generators": ["t", "t - t"]}, ValidationError,
+                 "dax_kernel.generators[1]: kernel generator must be nonzero", "dax_kernel.generators[1]",
+                 id="dax_kernel.generators[1]-zero"),
+    pytest.param(_kernel, {"generators": ["t", "t +"]}, ParseError,
+                 "dax_kernel.generators[1]: expected a factor name (at position 3)", None,
+                 id="dax_kernel.generators[1]-parse"),
+    pytest.param(_kernel, {"generators": ["t", "1"]}, ValidationError,
+                 "dax_kernel.generators[1]: the identity word '1' is not a valid term: values live in the group ring"
+                 " with the identity removed", "dax_kernel.generators[1]", id="dax_kernel.generators[1]-identity"),
+    pytest.param(_disc, {"tubes": []}, ValidationError,
+                 "disc: unknown key 'tubes'", "disc", id="disc-unknown-key"),
+    pytest.param(_disc, {"double_tubes": ["t", 5]}, ValidationError,
+                 "disc.double_tubes[1]: expected a string, got int", "disc.double_tubes[1]",
+                 id="disc.double_tubes[1]-not-str"),
+    pytest.param(_disc, {"double_tubes": ["t", "z"]}, ParseError,
+                 "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", None,
+                 id="disc.double_tubes[1]-unknown-name"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1}]}, ValidationError,
+                 "disc.sr_discs[1]: missing required key 'word'", "disc.sr_discs[1]", id="disc.sr_discs[1].word-missing"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t", "extra": 0}]}, ValidationError,
+                 "disc.sr_discs[1]: unknown key 'extra'", "disc.sr_discs[1]", id="disc.sr_discs[1]-unknown-key"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 2, "word": "t"}]}, ValidationError,
+                 "disc.sr_discs[1].sign: sign must be +1 or -1, got 2", "disc.sr_discs[1].sign", id="disc.sr_discs[1].sign"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": True, "word": "t"}]}, ValidationError,
+                 "disc.sr_discs[1].sign: expected an integer, got bool", "disc.sr_discs[1].sign",
+                 id="disc.sr_discs[1].sign-bool"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t a a"}]}, ParseError,
+                 "disc.sr_discs[1].word: unexpected trailing input (at position 2)", None, id="disc.sr_discs[1].word"),
+    pytest.param(_points, {"points": [SIGNED_T, {"sign": 0, "word": "t"}]}, ValidationError,
+                 "points.points[1].sign: sign must be +1 or -1, got 0", "points.points[1].sign", id="points.points[1].sign"),
+    pytest.param(session_from_json, {}, ValidationError,
+                 "session: missing required key 'manifold'", "session", id="session.manifold-missing"),
+    pytest.param(session_from_json, {"manifold": "connect_sum", "extra": 1}, ValidationError,
+                 "session: unknown key 'extra'", "session", id="session-unknown-key"),
+    pytest.param(session_from_json, {"manifold": "nope"}, ValidationError,
+                 "session.manifold: unknown preset 'nope'; available: boundary_connect_sum, connect_sum, simply_connected",
+                 "session.manifold", id="session.manifold"),
+    pytest.param(session_from_json,
+                 {"manifold": "connect_sum", "discs": {"d": {"sr_discs": [SIGNED_T, {"sign": 3, "word": "t"}]}}},
+                 ValidationError, "session.discs.d.sr_discs[1].sign: sign must be +1 or -1, got 3",
+                 "session.discs.d.sr_discs[1].sign", id="session.discs.d.sr_discs[1].sign"),
+    pytest.param(session_from_json, _session({"kind": "invariant", "disc": "d"}, 5), ValidationError,
+                 "session.queries[1]: expected an object, got int", "session.queries[1]", id="session.queries[1]"),
+    pytest.param(session_from_json, _session({"kind": "slice"}), ValidationError,
+                 "session.queries[0].kind: unknown query kind 'slice'", "session.queries[0].kind",
+                 id="session.queries[0].kind-unknown"),
+    pytest.param(session_from_json, _session({"kind": "invariant", "disc": "x"}), ValidationError,
+                 "session.queries[0].disc: undeclared disc 'x'", "session.queries[0].disc",
+                 id="session.queries[0].disc"),
+    pytest.param(session_from_json, _session({"kind": "reduce"}), ValidationError,
+                 "session.queries[0]: missing required key 'element'", "session.queries[0]",
+                 id="session.queries[0].element"),
+    pytest.param(session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, 5]}), ValidationError,
+                 "session.queries[0].points[1]: expected an object, got int", "session.queries[0].points[1]",
+                 id="session.queries[0].points[1]"),
+    pytest.param(session_from_json, _session({"kind": "compare", "discs": ["d", "e"]}), ValidationError,
+                 "session.queries[0].discs[1]: undeclared disc 'e'", "session.queries[0].discs[1]",
+                 id="session.queries[0].discs[1]"),
+    pytest.param(session_from_json, _session({"kind": "compare", "discs": ["d"]}), ValidationError,
+                 "session.queries[0].discs: compare takes exactly two disc names", "session.queries[0].discs",
+                 id="session.queries[0].discs-one-name"),
+    # precedence: every generator is parsed before the kernel checks any, so a
+    # parse error after a zero generator is the one reported
+    pytest.param(_kernel, {"generators": ["t - t", "t +"]}, ParseError,
+                 "dax_kernel.generators[1]: expected a factor name (at position 3)", None,
+                 id="dax_kernel.generators-all-parsed"),
     # precedence: compare's length check runs before any name is looked up
-    (session_from_json, _session({"kind": "compare", "discs": ["x", "y", "z"]}), ValidationError,
-     "session.queries[0].discs: compare takes exactly two disc names", "session.queries[0].discs"),
+    pytest.param(session_from_json, _session({"kind": "compare", "discs": ["x", "y", "z"]}), ValidationError,
+                 "session.queries[0].discs: compare takes exactly two disc names", "session.queries[0].discs",
+                 id="session.queries[0].discs"),
 ]
 
 
-@pytest.mark.parametrize("decode, obj, error, message, path", ITEM_ERRORS, ids=[case[3].split(": ")[0] for case in ITEM_ERRORS])
+@pytest.mark.parametrize("decode, obj, error, message, path", ITEM_ERRORS)
 def test_item_errors_carry_the_full_field_path(decode, obj, error, message, path):
     with pytest.raises(error) as excinfo:
         decode(obj)

@@ -14,7 +14,10 @@ about 20 ms.
 One more session has a group of 10,000 infinite cyclic factors (319 KB of
 JSON).  A spec keeps fixed tables of about 6 KiB per factor, so the factor
 count is limited: the session ends in one validation error naming the count,
-before any table is built, while a group at the limit still runs.
+before any table is built, while a group at the limit still runs.  The
+spelling table holds 31 copies of each factor name, so a name's length is
+limited the same way: a 10^6-character name ends in one validation error
+naming its length, and a name at the limit runs.
 """
 
 import json
@@ -146,3 +149,24 @@ def test_a_group_past_the_factor_limit_is_one_validation_error(tmp_path, capsys)
 def test_a_group_at_the_factor_limit_runs(tmp_path, capsys):
     code, out, err, _ = run(tmp_path, capsys, many_factors_session(256))
     assert (code, out, err) == (0, "2*x0^3*x255^-16\n", "")  # the inverse-pairs fold of x255^16*x0^-3 and its inverse
+
+
+def long_name_session(length: int) -> str:
+    name = "x" * length
+    return json.dumps({
+        "manifold": {"group": {"factors": [{"type": "Z", "name": name}]}, "dax_kernel": {"preset": "inverse_pairs"}},
+        "queries": [{"kind": "reduce", "element": f"{name}^-2"}],
+    })
+
+
+def test_a_factor_name_past_the_length_limit_is_one_validation_error(tmp_path, capsys):
+    code, out, err, elapsed = run(tmp_path, capsys, long_name_session(10**6))
+    session = tmp_path / "session.json"
+    expected = f"validation error: {session}.manifold.group.factors[0]: a factor name may have at most 64 characters, got 1000000\n"
+    assert (code, out, err) == (2, "", expected)
+    assert elapsed < BOUND_S, f"took {elapsed:.2f} s"
+
+
+def test_a_factor_name_at_the_length_limit_runs(tmp_path, capsys):
+    code, out, err, _ = run(tmp_path, capsys, long_name_session(64))
+    assert (code, out, err) == (0, f"{'x' * 64}^2\n", "")  # inverse pairs fold x^-2 onto x^2

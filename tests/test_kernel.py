@@ -230,34 +230,6 @@ def test_explicit_kernel_rejects_a_generator_that_is_not_a_ring_element():
         ExplicitKernel((5,))
 
 
-def test_hermite_normal_form_rejects_a_row_that_is_not_a_list():
-    with pytest.raises(ValidationError, match="rows must be integer lists"):
-        hermite_normal_form([5])
-    with pytest.raises(ValidationError, match="rows must be integer lists"):
-        hermite_normal_form(5)
-
-    def entries(first):  # an error raised while walking the rows or a row is not rewritten
-        yield first
-        raise TypeError("from inside the walk")
-
-    with pytest.raises(TypeError, match="from inside the walk"):
-        hermite_normal_form(entries([1, 2]))
-    with pytest.raises(TypeError, match="from inside the walk"):
-        hermite_normal_form([[1, 2], entries(3)])
-
-
-def test_explicit_kernel_rejects_a_container_that_is_not_iterable():
-    with pytest.raises(ValidationError, match="generators must be an iterable of ring elements, got int"):
-        ExplicitKernel(5)
-
-    def generators():  # an error raised while walking the generators is not rewritten
-        yield monomial(T, 2)
-        raise TypeError("from inside the walk")
-
-    with pytest.raises(TypeError, match="from inside the walk"):
-        ExplicitKernel(generators())
-
-
 @pytest.mark.parametrize(
     "kernel", [TrivialKernel(), InversePairsKernel(), ExplicitKernel(()), ExplicitKernel((monomial(T, 2),))],
     ids=["trivial", "inverse_pairs", "explicit-empty", "explicit"],

@@ -126,16 +126,6 @@ def test_spin_composition_value_walks_a_one_shot_iterator_once():
         spin_composition_value(iter([(1, T), (1, ONE)]), SPEC)
 
 
-def test_dax_value_rejects_a_container_that_is_not_iterable():
-    with pytest.raises(ValidationError, match="points must be an iterable of pairs, got int"):
-        dax_value(5, SPEC)
-
-
-def test_spin_composition_value_rejects_a_container_that_is_not_iterable():
-    with pytest.raises(ValidationError, match="spins must be an iterable of pairs, got int"):
-        spin_composition_value(5, SPEC)
-
-
 FOREIGN = GroupSpec((Factor("z"),)).generator("z")
 
 

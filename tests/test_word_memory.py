@@ -11,8 +11,9 @@ number of syllables.  On CPython 3.11 that is about 17 B per syllable; a fresh
 between the two.
 
 The spec's own tables (shared pairs and printed spellings) cost a fixed
-amount per factor, and a spec has at most 256 factors: one at that limit
-keeps about 1.4 MiB on CPython 3.11, under the bound of SPEC_BOUND_B = 2 MiB.
+amount per factor, growing with the factor's name, and a spec has at most 256
+factors with names of at most 64 characters: one at both limits keeps about
+1.9 MiB on CPython 3.11, under the bound of SPEC_BOUND_B = 2 MiB.
 """
 
 import gc
@@ -69,7 +70,8 @@ def test_a_decoded_session_keeps_a_bounded_number_of_bytes_per_syllable():
 
 
 def test_a_spec_at_the_factor_limit_keeps_a_bounded_number_of_bytes():
-    factors = tuple(Factor(f"x{i}") for i in range(256))  # infinite cyclic: the largest pair tables
+    # infinite cyclic, for the largest pair tables; each name is 64 characters
+    factors = tuple(Factor(f"x{i:063d}") for i in range(256))
     gc.collect()
     tracemalloc.start()
     try:
@@ -78,5 +80,5 @@ def test_a_spec_at_the_factor_limit_keeps_a_bounded_number_of_bytes():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(spec.factors) == 256
+    assert len(spec.factors) == 256 and {len(f.name) for f in factors} == {64}
     assert kept <= SPEC_BOUND_B, f"{kept} B kept by a spec of 256 factors"
