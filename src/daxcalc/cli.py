@@ -2,7 +2,8 @@
 
 The computing subcommands build session queries and evaluate them through
 documents.execute, as `run` does, and print canonical-order text, one
-result per line, or JSON with --json.  Output on stdout is byte-identical
+result per line, or JSON with --json.  Every query runs before stdout gets
+its first byte, so a failing one leaves it empty.  Output is byte-identical
 across runs for identical inputs; --verbose writes extra context to stderr
 only.  Exit codes: 0 success, 1 parse error, 2 validation error (argparse
 usage errors also exit 2).  A subcommand is declared only in _COMMANDS, one
@@ -48,11 +49,13 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(args: argparse.Namespace, payload, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload, render) -> None:
+    """payload as JSON under --json, else the text lines render() returns, written piecewise, never joined."""
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.writelines(line + "\n" for line in render())
 
 
 def _queries(args: argparse.Namespace, manifold: ManifoldModel) -> list[tuple[tuple[str, object], list[str]]]:
@@ -85,24 +88,20 @@ def _cmd_query(args: argparse.Namespace) -> None:
         if "dropped" in result:
             _note(args, f"identity loops dropped: {result['dropped']}")
     payload = [{k: v for k, v in r.items() if k not in ("kind", "discs")} for r in results]
-    _emit(args, payload if "disc" in args else payload[0], render_text(results))
+    _emit(args, payload if "disc" in args else payload[0], lambda: render_text(results))
 
 
 def _cmd_presets(args: argparse.Namespace) -> None:
-    results = []
-    lines = []
-    for preset_id in PRESET_IDS:
-        manifold = instantiate(preset_id)
-        results.append({"id": preset_id, "label": manifold.label, "manifold": manifold_to_json(manifold)})
-        lines.append(f"{preset_id}: {manifold.describe()}  [{manifold.label}]")
-    _emit(args, results, lines)
+    manifolds = {preset_id: instantiate(preset_id) for preset_id in PRESET_IDS}
+    results = [{"id": i, "label": m.label, "manifold": manifold_to_json(m)} for i, m in manifolds.items()]
+    _emit(args, results, lambda: [f"{i}: {m.describe()}  [{m.label}]" for i, m in manifolds.items()])
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
     document = session_from_json(_read_json(args.session), args.session)
     _note(args, f"manifold: {document.manifold.describe()}")
     results = execute(document)
-    _emit(args, results, render_text(results))
+    _emit(args, results, lambda: render_text(results))
 
 
 _DISC_FILES = ("--disc", dict(metavar="FILE", action="append", required=True, help="disc JSON file (repeatable)"))

@@ -46,7 +46,7 @@ class SRData:
         discs = tuple(_require_iter(self.sr_discs, what))
         for j, disc in enumerate(discs):
             if not isinstance(disc, (tuple, list)) or len(disc) != 2:
-                raise ValidationError(f"sr_discs[{j}]: disc must be a (sign, element) pair")
+                raise ValidationError("disc must be a (sign, element) pair", f"sr_discs[{j}]")
         object.__setattr__(self, "sr_discs", tuple(tuple(d) for d in discs))
 
     @property
@@ -162,7 +162,7 @@ def negate_data(data: SRData) -> SRData:
     tubes = _require(data, SRData, "disc data must be an SRData").double_tubes
     for j, (sign, _) in enumerate(data.sr_discs):
         if problem := _sign_problem(sign):
-            raise ValidationError(f"sr_discs[{j}]: {problem}")
+            raise ValidationError(problem, f"sr_discs[{j}]")
     discs = [(-sign, g) for sign, g in data.sr_discs]
     discs.extend((-1, t) for t in tubes)
     return SRData(tubes, tuple(discs))

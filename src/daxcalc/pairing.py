@@ -24,17 +24,17 @@ class DaxValue(NamedTuple):
 
 
 def _signed_sum(points: Sequence[tuple[int, GroupElement]], spec: GroupSpec, name: str) -> tuple[Counter, list[int]]:
-    """Signed sum of the nontrivial loops and the indices of the identity ones; errors say name[i]."""
+    """Signed sum of the nontrivial loops and the indices of the identity ones; an error's path is name[i]."""
     total, dropped = Counter(), []
     for i, point in enumerate(_require_iter(points, f"{name} must be an iterable of pairs")):
         try:
             sign, loop = point
         except (TypeError, ValueError):
-            raise ValidationError(f"{name}[{i}]: point must be a (sign, element) pair") from None
+            raise ValidationError("point must be a (sign, element) pair", f"{name}[{i}]") from None
         if problem := _sign_problem(sign):
-            raise ValidationError(f"{name}[{i}]: {problem}")
+            raise ValidationError(problem, f"{name}[{i}]")
         if not isinstance(loop, GroupElement) or loop.spec != spec:
-            raise ValidationError(f"{name}[{i}]: element is not over the given group spec")
+            raise ValidationError("element is not over the given group spec", f"{name}[{i}]")
         if loop.is_identity:
             dropped.append(i)
         else:
@@ -56,5 +56,5 @@ def spin_composition_value(spins: Sequence[tuple[int, GroupElement]], spec: Grou
     """
     total, dropped = _signed_sum(spins, spec, "spins")
     if dropped:
-        raise ValidationError(f"spins[{dropped[0]}]: spin element must be nontrivial")
+        raise ValidationError("spin element must be nontrivial", f"spins[{dropped[0]}]")
     return RingElement.from_mapping(spec, total)

@@ -10,6 +10,10 @@ ITERABLE_ARGUMENTS is the one table of the container arguments that
 errors._require_iter guards: the full message for one that is not iterable,
 and the caller's own TypeError, raised while the guard's iterator is walked,
 passing through unchanged.
+
+ENTRY_ERRORS is the one table of errors about a single entry of a container
+argument: each carries the entry as its .path ("sr_discs[1]") and a message
+without it, and prints as "path: message".
 """
 
 import inspect
@@ -32,6 +36,7 @@ from daxcalc import (
     dax_value,
     hermite_normal_form,
     monomial,
+    negate_data,
     spin_composition_value,
 )
 
@@ -173,3 +178,34 @@ def test_container_guard_message_and_pass_through(name):
     assert str(excinfo.value) == message
     with pytest.raises(TypeError, match="^from inside the walk$"):
         call(entries_then_a_type_error(first))
+
+
+FOREIGN = GroupSpec((Factor("z"),)).generator("z")
+ONE = SPEC.element(())
+
+# entry point and rule -> (a call with a bad second entry, its .path, its .message)
+ENTRY_ERRORS = {
+    "SRData-pair": (lambda: SRData((), ((1, T), (1,))), "sr_discs[1]", "disc must be a (sign, element) pair"),
+    "negate_data-sign": (lambda: negate_data(SRData((), ((1, T), (2, T)))), "sr_discs[1]",
+                         "sign must be +1 or -1, got 2"),
+    "dax_value-pair": (lambda: dax_value([(1, T), (1, A, 3)], SPEC), "points[1]",
+                       "point must be a (sign, element) pair"),
+    "dax_value-sign": (lambda: dax_value([(1, T), (0, A)], SPEC), "points[1]", "sign must be +1 or -1, got 0"),
+    "dax_value-spec": (lambda: dax_value([(1, T), (1, FOREIGN)], SPEC), "points[1]",
+                       "element is not over the given group spec"),
+    "spin_composition_value-sign": (lambda: spin_composition_value([(1, T), (True, A)], SPEC), "spins[1]",
+                                    "sign must be +1 or -1, got True"),
+    "spin_composition_value-trivial": (lambda: spin_composition_value([(1, T), (1, ONE)], SPEC), "spins[1]",
+                                       "spin element must be nontrivial"),
+    "ExplicitKernel-zero": (lambda: ExplicitKernel((X, RingElement.zero(SPEC))), "generators[1]",
+                            "kernel generator must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_ERRORS)
+def test_a_bad_entry_is_the_error_path(name):
+    call, path, message = ENTRY_ERRORS[name]
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    error = excinfo.value
+    assert (error.path, error.message, str(error)) == (path, message, f"{path}: {message}")

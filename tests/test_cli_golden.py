@@ -7,7 +7,10 @@ the expected (exit code, stdout, stderr) of each case.  It covers every
 subcommand in plain, --json, --verbose and --json --verbose modes, and parse,
 validation and missing-file errors with and without --verbose.  The
 "ordering" cases pin which error wins when several --disc files are bad: each
-file is decoded and evaluated before the next one is read.  The "help" and
+file is decoded and evaluated before the next one is read.  The
+"run_late_failure" cases pin that stdout stays empty, in plain and --json
+mode, when a session's first query succeeds and its last one fails, since
+nothing is printed before every query has run.  The "help" and
 "usage" cases pin the parser itself: --help at the top level and for every
 subcommand, and argparse usage errors, with COLUMNS=80 so line wrapping does
 not depend on the terminal.
@@ -70,6 +73,11 @@ FILES = {
             {"kind": "normalize", "disc": "d1"},
             {"kind": "pairing", "points": [{"sign": 1, "word": "t"}, {"sign": 1, "word": "1"}]},
         ],
+    },
+    "late_failure.json": {
+        "manifold": "boundary_connect_sum",
+        "discs": {"d1": {"sr_discs": [{"sign": 1, "word": "t"}]}, "bad": {"double_tubes": ["t"]}},
+        "queries": [{"kind": "invariant", "disc": "d1"}, {"kind": "invariant", "disc": "bad"}],
     },
 }
 RAW_FILES = {"broken.json": b'{"double_tubes": [', "latin1.json": b'{"sr_discs": "\xe9"}'}
@@ -146,6 +154,7 @@ ERROR_MODES = ("plain", "verbose")
 
 CASES = {f"{name}-{mode}": argv + flags for name, argv in COMMANDS.items() for mode, flags in MODES.items()}
 CASES.update({f"{name}-{mode}": argv + MODES[mode] for name, argv in ERRORS.items() for mode in ERROR_MODES})
+CASES.update({f"run_late_failure-{mode}": ["run", "late_failure.json", *MODES[mode]] for mode in ("plain", "json")})
 CASES.update(SURFACE)
 
 GOLDEN_PATH = Path(__file__).with_name("cli_golden.json")
