@@ -35,7 +35,7 @@ def phi(data: SRData, manifold: ManifoldModel) -> RingElement:
     for sign, g in data.sr_discs:  # sign*(g + g^-1); 2-torsion g gets 2*sign
         total[g] += sign
         total[~g] += sign
-    return manifold.kernel.reduce(RingElement.from_mapping(manifold.group, total))
+    return manifold.kernel.reduce(RingElement._counted(manifold.group, total))
 
 
 def compare(d1: SRData, d2: SRData, manifold: ManifoldModel) -> Verdict:

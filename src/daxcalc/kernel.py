@@ -108,7 +108,7 @@ class ExplicitKernel:
             vec[index[g]] = terms.pop(g)
         _reduce_by_pivots(vec, [(c, hnf[i]) for i, c in pivots])
         terms.update((basis[i], c) for i, c in enumerate(vec) if c)
-        return RingElement.from_mapping(x.spec, terms)
+        return RingElement._counted(x.spec, terms)
 
     def describe(self) -> str:
         return f"explicit ({len(self.generators)} generators)"

@@ -1,13 +1,12 @@
 """The additive group of integer combinations of nontrivial group elements.
 
 Values of the disc invariant live here: finitely supported sums c1*g1 + ... +
-ck*gk with integer coefficients and every gi a nontrivial group element.  The
-identity element is excluded from the support by construction.  Only the
-additive structure is provided; ring multiplication is never needed.  A sum
-of many terms is collected in one dict and built once by from_mapping, so each
-value is validated once; `+` and `-` combine two values that already exist.
-Checked terms reach _trusted as unsorted (canonical key, element, coefficient)
-triples; it drops zeros and sorts, so only this module orders terms.
+ck*gk with integer coefficients and every gi a nontrivial group element; ring
+multiplication is never needed.  One checked door: values with a spec or
+terms from outside are built by the constructor, from_mapping, zero or
+monomial, which check every term.  Values built from checked ones (+, -,
+dax_sum, phi, kernel reduction, parsing) go through _counted or _trusted,
+which check nothing; callers pass terms unsorted, and _trusted sorts them.
 """
 
 from __future__ import annotations
@@ -59,11 +58,17 @@ class RingElement:
         return x
 
     @classmethod
+    def _counted(cls, spec: GroupSpec, mapping: Mapping[GroupElement, int]) -> "RingElement":
+        """A mapping of checked nontrivial elements of spec to ints; keys each term once, checks nothing."""
+        return cls._trusted(spec, ((canonical_key(g), g, c) for g, c in mapping.items()))
+
+    @classmethod
     def zero(cls, spec: GroupSpec) -> "RingElement":
         return cls(spec, ())
 
     @classmethod
     def from_mapping(cls, spec: GroupSpec, mapping: Mapping[GroupElement, int]) -> "RingElement":
+        """The checked door for a mapping of terms: int zeros are dropped, any other zero-like value is rejected."""
         items = sorted(_require(mapping, Mapping, "mapping must be a Mapping").items(), key=lambda item: canonical_key(item[0]))
         return cls(spec, tuple((g, c) for g, c in items if type(c) is not int or c))  # __post_init__ rejects 0.0 and False
 
@@ -87,7 +92,7 @@ class RingElement:
         return self._combine(other, Counter.update)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.spec, tuple((g, -c) for g, c in self.terms))
+        return RingElement._counted(self.spec, {g: -c for g, c in self.terms})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self._combine(other, Counter.subtract)
@@ -99,7 +104,7 @@ class RingElement:
             raise ValidationError("cannot add ring elements over different group specs")
         combined = Counter(dict(self.terms))
         fold(combined, dict(other.terms))
-        return RingElement.from_mapping(self.spec, combined)
+        return RingElement._counted(self.spec, combined)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -137,4 +142,4 @@ def dax_sum(g: GroupElement, sign: int) -> RingElement:
         raise ValidationError(problem)
     if _require(g, GroupElement, "element must be a GroupElement").is_identity:
         raise ValidationError("dax_sum is undefined on the identity element")
-    return RingElement.from_mapping(g.spec, {h: sign * n for h, n in Counter((g, ~g)).items()})
+    return RingElement._counted(g.spec, {h: sign * n for h, n in Counter((g, ~g)).items()})

@@ -126,7 +126,7 @@ def parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
                 if (g := spec._merge([], _syllables(word, spec))).is_identity:
                     _locate(text, spec, ring=True)  # names this error, or an earlier one
                 combined[g] = combined.get(g, 0) + int(sign + (coeff or "1"))
-            return RingElement.from_mapping(spec, combined)
+            return RingElement._counted(spec, combined)
     except (KeyError, ValueError):  # an unknown name or an overlong literal
         pass
     _locate(text, spec, ring=True)

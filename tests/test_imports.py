@@ -11,9 +11,12 @@ each argument-type rule is written once.  Only `documents._at`, which puts a
 field path on an error, and `cli.main`, which prints it, catch the package's
 own errors, so no other place re-wraps them.  GroupSpec._merge checks
 nothing, so only groups.py and the word parsers, which pass it syllables
-they have checked or accepted, may call it.  Each value type has one raw
-builder that skips the constructor's checks: only GroupSpec._merge and
-RingElement._trusted call `__new__` (object.__new__ or any other).
+they have checked or accepted, may call it.  RingElement._trusted and
+_counted check nothing either, so only ring.py and the modules that hand them
+values and elements already checked (engine.py, kernel.py, words.py) may call
+them.  Each value type has one raw builder that skips the constructor's
+checks: only GroupSpec._merge and RingElement._trusted call `__new__`
+(object.__new__ or any other).
 """
 
 import ast
@@ -181,18 +184,33 @@ def test_only_at_and_main_catch_package_errors():
     assert not found, f"put a field path on an error through documents._at: {found}"
 
 
-def test_only_groups_and_words_call_the_unchecked_merge():
+def calls_outside(methods: set[str], allowed: set[str]) -> list[str]:
+    """Calls of the named methods in src, tests and bench outside the allowed package modules.
+
+    A monkeypatch reads the method as an attribute, which is not a call.
+    """
+    skipped = {PACKAGE / name for name in allowed}
     found = []
     for path in sorted(path for top in ("src", "tests", "bench") for path in (ROOT / top).rglob("*.py")):
-        if path in (PACKAGE / "groups.py", PACKAGE / "words.py"):
+        if path in skipped:
             continue
         tree = ast.parse(path.read_text(), str(path))
         found += [
             f"{path.relative_to(ROOT)}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_merge"
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in methods
         ]
+    return found
+
+
+def test_only_groups_and_words_call_the_unchecked_merge():
+    found = calls_outside({"_merge"}, {"groups.py", "words.py"})
     assert not found, f"build words through GroupSpec.element, which checks each syllable: {found}"
+
+
+def test_only_ring_engine_kernel_and_words_call_the_unchecked_ring_builders():
+    found = calls_outside({"_trusted", "_counted"}, {"ring.py", "engine.py", "kernel.py", "words.py"})
+    assert not found, f"build ring values through RingElement.from_mapping, which checks each term: {found}"
 
 
 def new_calls(tree: ast.AST) -> list[int]:

@@ -2,11 +2,14 @@
 
 phi, dax_sum, dax_value, spin_composition_value and the inverse-pairs fold
 collect their terms in one dict and construct the value once, and monomial
-builds through the same RingElement.from_mapping.  The seed
+builds through RingElement.from_mapping.  The seed
 versions, which added one monomial at a time, are kept in helpers.py; here
 both are run on a fixed-seed corpus and must agree on every output or error.
+Every value built from checked values skips the constructor's checks; on the
+same corpus each such value must pass them and rebuild equal.
 """
 
+import operator
 import random
 
 from daxcalc import (
@@ -18,6 +21,7 @@ from daxcalc import (
     dax_value,
     instantiate,
     monomial,
+    parse_ringexpr,
     phi,
     spin_composition_value,
 )
@@ -69,20 +73,32 @@ def random_disc_data(rng, spec, other):
     return SRData(data.double_tubes, data.sr_discs + (extra,))
 
 
+def checked(build):
+    """build, whose ring value must pass the constructor's checks it skipped and rebuild equal."""
+
+    def call(*args):
+        value = build(*args)
+        assert type(value.terms) is tuple and RingElement(value.spec, value.terms) == value, value
+        return value
+
+    return call
+
+
 def test_ring_sums_match_the_per_term_references():
     rng = random.Random(404)
+    second = random.Random(405)  # the second summands, drawn apart so rng's corpus stays as it was
     for _ in range(CASES):
         spec = random_spec(rng)
         other = random_spec(rng)
         manifold = ManifoldModel(spec, random_kernel(rng, spec))
         data = random_disc_data(rng, spec, other)
-        assert outcome(phi, data, manifold) == outcome(reference_phi, data, manifold)
+        assert outcome(checked(phi), data, manifold) == outcome(reference_phi, data, manifold)
 
         g = random_two_torsion(rng, spec) if rng.random() < 0.3 else None
         g = g or random_element(rng, spec)
         # the reference dax_sum accepts a bool sign; test_ring checks the rejection
         sign = rng.choice((0, 2, -2)) if rng.random() < 0.1 else rng.choice((1, -1))
-        assert outcome(dax_sum, g, sign) == outcome(reference_dax_sum, g, sign)
+        assert outcome(checked(dax_sum), g, sign) == outcome(reference_dax_sum, g, sign)
 
         points = random_points(rng, spec, other)
         assert outcome(dax_value, points, spec) == outcome(reference_dax_value, points, spec)
@@ -91,28 +107,40 @@ def test_ring_sums_match_the_per_term_references():
         )
 
         x = random_ring_element(rng, spec, max_terms=6)
-        assert outcome(InversePairsKernel().reduce, x) == outcome(reference_inverse_pairs_reduce, x)
-        folded = InversePairsKernel().reduce(x)  # built without the constructor's checks, so run them
-        assert type(folded.terms) is tuple and RingElement(spec, folded.terms) == folded
+        assert outcome(checked(InversePairsKernel().reduce), x) == outcome(reference_inverse_pairs_reduce, x)
 
         coeff = rng.choice((0.0, -0.0, False)) if rng.random() < 0.1 else rng.randint(-3, 3)  # a zero that is not an int
         assert outcome(monomial, g, coeff) == outcome(reference_monomial, g, coeff)
 
+        y = random_ring_element(second, spec, max_terms=6)
+        for build in (operator.add, operator.sub):
+            checked(build)(x, y)
+        checked(operator.neg)(x)
+        checked(parse_ringexpr)(str(x), spec)
+        checked(manifold.kernel.reduce)(x)  # an explicit kernel in about two cases of five
+
 
 def test_phi_validates_a_linear_number_of_terms(monkeypatch):
     # 400 distinct discs t^1 .. t^400 give 800 terms; a per-term `+` chain
-    # validates every partial sum, about 162,000 terms in all
+    # builds every partial sum, about 162,000 terms in all.  Both doors are
+    # counted: the checked constructor and the unchecked builder.
     manifold = instantiate("boundary_connect_sum")
     t = manifold.group.generator("t")
     data = SRData((), tuple((1, t**k) for k in range(1, 401)))
-    validated = []
-    original = RingElement.__post_init__
+    built = []
+    init, trusted = RingElement.__post_init__, RingElement._trusted
 
-    def counting(self):
-        original(self)
-        validated.append(len(self.terms))
+    def counting_init(self):
+        init(self)
+        built.append(len(self.terms))
 
-    monkeypatch.setattr(RingElement, "__post_init__", counting)
+    def counting_trusted(cls, spec, keyed):
+        value = trusted(spec, keyed)
+        built.append(len(value.terms))
+        return value
+
+    monkeypatch.setattr(RingElement, "__post_init__", counting_init)
+    monkeypatch.setattr(RingElement, "_trusted", classmethod(counting_trusted))
     value = phi(data, manifold)
     assert len(value.terms) == 800
-    assert validated == [800]
+    assert built == [800]
