@@ -80,7 +80,7 @@ def _at(path: str, build, *args):
     try:
         return build(*args)
     except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{path}: {exc.message}", exc.position) from None
     except ValidationError as exc:
         raise ValidationError(exc.message, path if exc.path is None else f"{path}.{exc.path}") from None
 

@@ -2,12 +2,13 @@
 
 Parse errors carry a character position into the offending text; validation
 errors describe semantic problems (bad group data, mismatched specs, broken
-document schemas) and carry a field path when one exists.  A library error's
-path is relative to the argument it names ("generators[1]"), and
-documents._at puts it under the document's own path.  Library entry points
-check an argument's type through the two guards _require (isinstance) and
-_require_iter (iter), the only places that write "<what>, got <type name>";
-documents._expect keeps its own JSON type names.
+document schemas) and carry a field path when one exists.  Both keep their
+bare message as .message.  A library error's path is relative to the argument
+it names ("generators[1]"); documents._at puts it under the document's own
+path, and puts a parse error's text under that path with its position kept.
+Library entry points check an argument's type through the two guards _require
+(isinstance) and _require_iter (iter), the only places that write "<what>,
+got <type name>"; documents._expect keeps its own JSON type names.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ class DaxError(Exception):
 
 class ParseError(DaxError):
     def __init__(self, message: str, position: int | None = None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
+        self.message, self.position = message, position  # message without the position suffix
+        super().__init__(message if position is None else f"{message} (at position {position})")
 
 
 class ValidationError(DaxError):

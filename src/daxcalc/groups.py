@@ -59,7 +59,7 @@ class GroupSpec:
             raise ValidationError(f"a group may have at most {_MAX_FACTORS} factors, got {len(self.factors)}")
         for i, f in enumerate(self.factors):
             if not isinstance(f, Factor):
-                raise ValidationError(f"factors[{i}]: {f!r} is not a Factor")
+                raise ValidationError(f"{f!r} is not a Factor", f"factors[{i}]")
         # the name, order, pair and spelling tables are not fields, so ==, hash and repr see only the factors
         object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
         if len(self._index) != len(self.factors):

@@ -238,8 +238,17 @@ SCANNER_ALPHABET = (
 )
 
 
-def random_scanner_text(rng: random.Random, max_pieces: int = 12) -> str:
-    return "".join(rng.choice(SCANNER_ALPHABET) for _ in range(rng.randint(0, max_pieces)))
+def random_scanner_text(rng: random.Random, max_pieces: int = 12, alphabet: list[str] = SCANNER_ALPHABET) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_pieces)))
+
+
+def random_code_point_text(rng: random.Random, max_chars: int = 40) -> str:
+    """Up to max_chars characters, each any code point but a surrogate: ASCII half the time, else uniform."""
+    chars = []
+    for _ in range(rng.randint(0, max_chars)):
+        code = rng.randint(0, 0x7F) if rng.random() < 0.5 else rng.randint(0, 0x10FFFF - 0x800)
+        chars.append(chr(code if code < 0xD800 else code + 0x800))  # steps over the 0x800 surrogates
+    return "".join(chars)
 
 
 def outcome(fn, *args):

@@ -201,6 +201,7 @@ ENTRY_ERRORS = {
                                        "spin element must be nontrivial"),
     "ExplicitKernel-zero": (lambda: ExplicitKernel((X, RingElement.zero(SPEC))), "generators[1]",
                             "kernel generator must be nonzero"),
+    "GroupSpec-factor": (lambda: GroupSpec((Factor("t"), 5)), "factors[1]", "5 is not a Factor"),
 }
 
 

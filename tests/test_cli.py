@@ -6,7 +6,8 @@ set, for every subcommand in every mode.  A check that such a row can make
 belongs there.  This file holds the rest: the console-script target, a
 directory argument and every file role, help and usage exit codes (which hold
 on interpreters whose argparse text differs), hostile and overlong input, a
-message that must not depend on the hash seed, and inputs no golden row uses.
+message that must not depend on the hash seed, inputs no golden row uses, and
+a reader that closes stdout early.
 """
 
 import importlib
@@ -189,18 +190,44 @@ def test_overlong_computed_exponent_is_a_validation_error(tmp_path, monkeypatch,
     assert captured.err == "validation error: exponent of 14286 bits is too long to print\n"
 
 
+def _child_env(**extra: str) -> dict:
+    """The environment for a `python -m daxcalc` child that imports this checkout's daxcalc."""
+    src = str(Path(daxcalc.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_missing_key_message_does_not_depend_on_hash_seed(tmp_path):
     # the point lacks both 'sign' and 'word'; the smallest missing key is named
     points = tmp_path / "points.json"
     points.write_text('{"points": [{"preset": "inverse_pairs"}]}')
-    src = str(Path(daxcalc.__file__).resolve().parents[1])
     errors = []
     for seed in ("1", "4"):
-        env = {**os.environ, "PYTHONHASHSEED": seed}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = [sys.executable, "-m", "daxcalc", "pairing", "--preset", "connect_sum", str(points)]
-        result = subprocess.run(argv, capture_output=True, text=True, env=env)
+        result = subprocess.run(argv, capture_output=True, text=True, env=_child_env(PYTHONHASHSEED=seed))
         assert result.returncode == 2
         errors.append(result.stderr)
     assert errors[0] == errors[1]
     assert errors[0].endswith("points[0]: missing required key 'sign'\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_exits_1_with_empty_stderr(tmp_path, mode):
+    # 40 records of about 16 KB each: several times a 64 KiB pipe buffer, so
+    # the child is still writing when the reader goes away
+    element = " + ".join(f"t^{k}" for k in range(1, 2001))
+    session = tmp_path / "session.json"
+    session.write_text(json.dumps({
+        "manifold": "boundary_connect_sum",
+        "discs": {},
+        "queries": [{"kind": "reduce", "element": element}] * 40,
+    }))
+    argv = [sys.executable, "-m", "daxcalc", "run", *mode, str(session)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as child:
+        assert child.stdout.read(100)
+        child.stdout.close()
+        try:
+            _, err = child.communicate(timeout=20)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            raise
+    assert (child.returncode, err) == (1, b"")

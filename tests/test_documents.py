@@ -180,9 +180,10 @@ def _points(obj):
     return point_document_from_json(obj, SPEC)
 
 
-# (decoder, document, error type, full message, .path), one row per faulty field;
-# a bad list entry sits at index 1 after a good one.  Each id names the field and
-# not the message, so editing a message renames no test.
+# (decoder, document, error type, full message, .path or, for a ParseError,
+# .position), one row per faulty field; a bad list entry sits at index 1 after
+# a good one.  Each id names the field and not the message, so editing a
+# message renames no test.
 ITEM_ERRORS = [
     pytest.param(group_from_json, [], ValidationError,
                  "group: expected an object, got list", "group", id="group-not-an-object"),
@@ -225,7 +226,7 @@ ITEM_ERRORS = [
                  "dax_kernel.generators[1]: kernel generator must be nonzero", "dax_kernel.generators[1]",
                  id="dax_kernel.generators[1]-zero"),
     pytest.param(_kernel, {"generators": ["t", "t +"]}, ParseError,
-                 "dax_kernel.generators[1]: expected a factor name (at position 3)", None,
+                 "dax_kernel.generators[1]: expected a factor name (at position 3)", 3,
                  id="dax_kernel.generators[1]-parse"),
     pytest.param(_kernel, {"generators": ["t", "1"]}, ValidationError,
                  "dax_kernel.generators[1]: the identity word '1' is not a valid term: values live in the group ring"
@@ -236,7 +237,7 @@ ITEM_ERRORS = [
                  "disc.double_tubes[1]: expected a string, got int", "disc.double_tubes[1]",
                  id="disc.double_tubes[1]-not-str"),
     pytest.param(_disc, {"double_tubes": ["t", "z"]}, ParseError,
-                 "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", None,
+                 "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", 0,
                  id="disc.double_tubes[1]-unknown-name"),
     pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1}]}, ValidationError,
                  "disc.sr_discs[1]: missing required key 'word'", "disc.sr_discs[1]", id="disc.sr_discs[1].word-missing"),
@@ -248,7 +249,7 @@ ITEM_ERRORS = [
                  "disc.sr_discs[1].sign: expected an integer, got bool", "disc.sr_discs[1].sign",
                  id="disc.sr_discs[1].sign-bool"),
     pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t a a"}]}, ParseError,
-                 "disc.sr_discs[1].word: unexpected trailing input (at position 2)", None, id="disc.sr_discs[1].word"),
+                 "disc.sr_discs[1].word: unexpected trailing input (at position 2)", 2, id="disc.sr_discs[1].word"),
     pytest.param(_points, {"points": [SIGNED_T, {"sign": 0, "word": "t"}]}, ValidationError,
                  "points.points[1].sign: sign must be +1 or -1, got 0", "points.points[1].sign", id="points.points[1].sign"),
     pytest.param(session_from_json, {}, ValidationError,
@@ -285,7 +286,7 @@ ITEM_ERRORS = [
     # precedence: every generator is parsed before the kernel checks any, so a
     # parse error after a zero generator is the one reported
     pytest.param(_kernel, {"generators": ["t - t", "t +"]}, ParseError,
-                 "dax_kernel.generators[1]: expected a factor name (at position 3)", None,
+                 "dax_kernel.generators[1]: expected a factor name (at position 3)", 3,
                  id="dax_kernel.generators-all-parsed"),
     # precedence: compare's length check runs before any name is looked up
     pytest.param(session_from_json, _session({"kind": "compare", "discs": ["x", "y", "z"]}), ValidationError,
@@ -294,16 +295,14 @@ ITEM_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("decode, obj, error, message, path", ITEM_ERRORS)
-def test_item_errors_carry_the_full_field_path(decode, obj, error, message, path):
+@pytest.mark.parametrize("decode, obj, error, message, where", ITEM_ERRORS)
+def test_item_errors_carry_the_full_field_path(decode, obj, error, message, where):
     with pytest.raises(error) as excinfo:
         decode(obj)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
-    if error is ParseError:  # a re-wrapped parse error keeps the position in its text only
-        assert excinfo.value.position is None
-    else:
-        assert excinfo.value.path == path
+    # a re-wrapped parse error keeps its position into the field's text
+    assert (excinfo.value.position if error is ParseError else excinfo.value.path) == where
 
 
 def test_execute_matches_manifold_kernel_fuzz():

@@ -1,11 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from daxcalc import (
-    DaxError,
     Factor,
     GroupSpec,
     ParseError,
@@ -18,6 +14,7 @@ from daxcalc import (
 from daxcalc.words import _tokenize
 
 from helpers import (
+    random_code_point_text,
     random_element,
     random_ring_element,
     random_scanner_text,
@@ -129,6 +126,11 @@ def test_word_round_trip_fuzz():
         spec = random_spec(rng)
         g = random_element(rng, spec)
         assert parse_word(str(g), spec) == g
+    # raw syllables over SPEC, zero exponents and ones that wrap around a's order included
+    rng = random.Random(53)
+    for _ in range(300):
+        g = SPEC.element([(rng.randint(0, 1), rng.randint(-6, 6)) for _ in range(rng.randint(0, 6))])
+        assert parse_word(str(g), SPEC) == g
 
 
 def test_ringexpr_round_trip_fuzz():
@@ -137,44 +139,17 @@ def test_ringexpr_round_trip_fuzz():
         spec = random_spec(rng)
         x = random_ring_element(rng, spec)
         assert parse_ringexpr(str(x), spec) == x
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=1), st.integers(min_value=-6, max_value=6)),
-        max_size=6,
-    )
-)
-def test_word_round_trip_hypothesis(syllables):
-    g = SPEC.element(syllables)
-    assert parse_word(str(g), SPEC) == g
-
-
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(min_value=0, max_value=1), st.integers(min_value=-4, max_value=4)),
-        st.integers(min_value=-9, max_value=9),
-        max_size=5,
-    )
-)
-def test_ringexpr_round_trip_hypothesis(raw):
-    mapping = {}
-    for syllable, coeff in raw.items():
-        g = SPEC.element([syllable])
-        if not g.is_identity:
-            mapping[g] = mapping.get(g, 0) + coeff
-    x = RingElement.from_mapping(SPEC, mapping)
-    assert parse_ringexpr(str(x), SPEC) == x
-
-
-@settings(max_examples=300)
-@given(st.text(max_size=30))
-def test_parsers_never_crash_hypothesis(text):
-    for parser in (parse_word, parse_ringexpr):
-        try:
-            parser(text, SPEC)
-        except DaxError:
-            pass
+    # raw maps over SPEC: identity syllables are dropped, and syllables that
+    # spell one element sum their coefficients, which may cancel to zero
+    rng = random.Random(54)
+    for _ in range(300):
+        mapping = {}
+        for _ in range(rng.randint(0, 5)):
+            g = SPEC.element([(rng.randint(0, 1), rng.randint(-4, 4))])
+            if not g.is_identity:
+                mapping[g] = mapping.get(g, 0) + rng.randint(-9, 9)
+        x = RingElement.from_mapping(SPEC, mapping)
+        assert parse_ringexpr(str(x), SPEC) == x
 
 
 def test_large_exponents():
@@ -209,12 +184,9 @@ def test_scanner_matches_reference_tokenizer():
     rng = random.Random(61)
     for _ in range(6000):
         _check_scanner(random_scanner_text(rng))
-
-
-@settings(max_examples=500)
-@given(st.text(max_size=40))
-def test_scanner_matches_reference_tokenizer_hypothesis(text):
-    _check_scanner(text)
+    rng = random.Random(63)
+    for _ in range(1000):
+        _check_scanner(random_code_point_text(rng))
 
 
 @pytest.mark.parametrize(
