@@ -6,6 +6,10 @@ phi difference certifies non-isotopy; equality of normalized data certifies
 isotopy; over the trivial group everything is isotopic.  When phi values
 agree but the data differ the answer is UNKNOWN: the kernel of phi is not
 known in general, and the calculator never overclaims.
+
+Each kernel's reduce returns a canonical coset representative, so compare
+sums phi(d1) - phi(d2) unreduced and reduces that once.  Only an UNKNOWN
+verdict reduces a second time, for its certificate, the reduced phi(d1).
 """
 
 from __future__ import annotations
@@ -30,16 +34,16 @@ class Verdict:
 
 def phi(data: SRData, manifold: ManifoldModel) -> RingElement:
     """Invariant value of a presentation, reduced modulo the manifold kernel."""
-    validate_or_raise(data, manifold)
-    total = Counter(data.double_tubes)
-    for sign, g in data.sr_discs:  # sign*(g + g^-1); 2-torsion g gets 2*sign
-        total[g] += sign
-        total[~g] += sign
+    total = _phi_sum(data, manifold)  # checks the data before the kernel is read
     return manifold.kernel.reduce(RingElement._counted(manifold.group, total))
 
 
 def compare(d1: SRData, d2: SRData, manifold: ManifoldModel) -> Verdict:
-    """Decide (non-)isotopy of two presentations over the same manifold."""
+    """Decide (non-)isotopy of two presentations over the same manifold.
+
+    Past the normal-form check, phi(d1) - phi(d2) is summed unreduced and
+    reduced once; only UNKNOWN reduces again, for its certificate phi(d1).
+    """
     validate_or_raise(d1, manifold)
     validate_or_raise(d2, manifold)
     if manifold.group.is_trivial:
@@ -48,12 +52,24 @@ def compare(d1: SRData, d2: SRData, manifold: ManifoldModel) -> Verdict:
     n2 = normalize(d2, manifold)
     if n1 == n2:
         return Verdict(ISOTOPIC, _format_data(n1), "equal-normal-form")
-    v1 = phi(d1, manifold)
-    v2 = phi(d2, manifold)
-    difference = manifold.kernel.reduce(v1 - v2)
+    s1 = _phi_sum(d1, manifold)
+    total = s1.copy()
+    total.subtract(_phi_sum(d2, manifold))
+    difference = manifold.kernel.reduce(RingElement._counted(manifold.group, total))
     if difference.is_zero:
+        v1 = manifold.kernel.reduce(RingElement._counted(manifold.group, s1))
         return Verdict(UNKNOWN, str(v1), "phi-coincide")
     return Verdict(NOT_ISOTOPIC, str(difference), "phi-difference")
+
+
+def _phi_sum(data: SRData, manifold: ManifoldModel) -> Counter:
+    """The checked data's tubes plus sign*(g + g^-1) per disc, not yet reduced."""
+    validate_or_raise(data, manifold)
+    total = Counter(data.double_tubes)
+    for sign, g in data.sr_discs:  # sign*(g + g^-1); 2-torsion g gets 2*sign
+        total[g] += sign
+        total[~g] += sign
+    return total
 
 
 def _format_data(data: SRData) -> str:

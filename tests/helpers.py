@@ -19,6 +19,9 @@ from fractions import Fraction
 from math import gcd
 
 from daxcalc import (
+    ISOTOPIC,
+    NOT_ISOTOPIC,
+    UNKNOWN,
     DaxValue,
     ExplicitKernel,
     Factor,
@@ -30,7 +33,10 @@ from daxcalc import (
     SRData,
     TrivialKernel,
     ValidationError,
+    Verdict,
     canonical_key,
+    normalize,
+    phi,
 )
 from daxcalc.forms import validate_or_raise
 
@@ -306,6 +312,35 @@ def reference_phi(data, manifold) -> RingElement:
     for sign, g in data.sr_discs:
         total = total + reference_dax_sum(g, sign)
     return manifold.kernel.reduce(total)
+
+
+# engine.compare and its _format_data from before phi(d1) - phi(d2) was summed
+# unreduced and reduced once: it reduces phi(d1), phi(d2) and their
+# difference, three reductions where one gives the same coset representative.
+# Kept verbatim (only the names changed) as the reference for the compare
+# differential.
+def reference_compare(d1: SRData, d2: SRData, manifold) -> Verdict:
+    """Decide (non-)isotopy of two presentations over the same manifold."""
+    validate_or_raise(d1, manifold)
+    validate_or_raise(d2, manifold)
+    if manifold.group.is_trivial:
+        return Verdict(ISOTOPIC, "pi1(M) = 1", "pi1-trivial")
+    n1 = normalize(d1, manifold)
+    n2 = normalize(d2, manifold)
+    if n1 == n2:
+        return Verdict(ISOTOPIC, _reference_format_data(n1), "equal-normal-form")
+    v1 = phi(d1, manifold)
+    v2 = phi(d2, manifold)
+    difference = manifold.kernel.reduce(v1 - v2)
+    if difference.is_zero:
+        return Verdict(UNKNOWN, str(v1), "phi-coincide")
+    return Verdict(NOT_ISOTOPIC, str(difference), "phi-difference")
+
+
+def _reference_format_data(data: SRData) -> str:
+    tubes = ", ".join(str(t) for t in data.double_tubes)
+    discs = ", ".join(f"{'+' if s > 0 else '-'}{g}" for s, g in data.sr_discs)
+    return f"tubes [{tubes}] discs [{discs}]"
 
 
 # name is the one change from the verbatim copy: spin_composition_value names a

@@ -6,6 +6,7 @@ from daxcalc import (
     ISOTOPIC,
     NOT_ISOTOPIC,
     UNKNOWN,
+    ExplicitKernel,
     Factor,
     GroupSpec,
     InversePairsKernel,
@@ -15,6 +16,7 @@ from daxcalc import (
     ValidationError,
     compare,
     concat,
+    dax_sum,
     equal_mod_kernel,
     instantiate,
     normalize,
@@ -103,6 +105,7 @@ def test_compare_validates_both_sides():
 
 def test_certificate_is_reduced_difference_fuzz():
     rng = random.Random(41)
+    unknown = 0
     for _ in range(200):
         spec = random_spec(rng)
         manifold = ManifoldModel(spec, random_kernel(rng, spec))
@@ -115,6 +118,36 @@ def test_certificate_is_reduced_difference_fuzz():
             assert verdict.certificate == str(difference)
         else:
             assert difference.is_zero
+        if verdict.outcome == UNKNOWN:
+            assert verdict.certificate == str(phi(d1, manifold))
+            unknown += 1
+    assert unknown
+
+
+def test_compare_reduces_once_and_again_only_for_unknown(monkeypatch):
+    # counted calls, not time: equal normal forms stop before phi, the
+    # unreduced phi difference is reduced once, and UNKNOWN reduces phi(d1)
+    # a second time for its certificate
+    spec = GroupSpec((Factor("t"),))
+    t = spec.generator("t")
+    manifold = ManifoldModel(spec, ExplicitKernel((dax_sum(t, 1),)))
+    reduce = ExplicitKernel.reduce
+    calls = []
+
+    def counting_reduce(self, x):
+        calls.append(x)
+        return reduce(self, x)
+
+    monkeypatch.setattr(ExplicitKernel, "reduce", counting_reduce)
+    d1 = SRData((), ((1, t**2),))
+    for d2, rule, reduces in (
+        (SRData((), ((1, t**2),)), "equal-normal-form", 0),
+        (SRData((), ((1, t**3),)), "phi-difference", 1),
+        (SRData((), ((1, t**2), (-1, t))), "phi-coincide", 2),
+    ):
+        calls.clear()
+        assert compare(d1, d2, manifold).rule == rule
+        assert len(calls) == reduces, rule
 
 
 def test_phi_homomorphism_short_fuzz():
