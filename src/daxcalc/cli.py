@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .documents import (
     SessionDocument,
+    _at,
     disc_from_json,
     execute,
     load_json,
@@ -34,15 +35,30 @@ from .forms import PRESET_IDS, ManifoldModel, instantiate
 from .words import parse_ringexpr
 
 
+_MAX_DEPTH = 64  # a valid document nests at most 6 deep; json's own limit differs between interpreters
+
+
+def _bounded(text: str):
+    """load_json(text) with at most _MAX_DEPTH nested containers; one pass per level, ending at the first empty one."""
+    value = load_json(text)
+    level = [[value]]  # json builds plain dicts and lists only
+    for _ in range(_MAX_DEPTH + 1):
+        level = [child for node in level for child in (node.values() if type(node) is dict else node) if type(child) in (dict, list)]
+        if not level:
+            return value
+    raise ParseError("invalid JSON: nesting too deep")
+
+
 def _read_json(path: str):
     """The JSON value in the UTF-8 file at path; every CLI file argument is read here."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return load_json(handle.read())
+            text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not valid UTF-8") from None
+    return _at(path, _bounded, text)
 
 
 def _note(args: argparse.Namespace, message: str) -> None:

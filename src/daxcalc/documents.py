@@ -42,7 +42,10 @@ PointList = tuple[tuple[int, GroupElement], ...]
 
 
 def load_json(text: str) -> Any:
-    """Decode JSON text; over-deep nesting and over-long integers are parse errors."""
+    """Decode JSON text; over-long integers and nesting past this interpreter's json limit are parse errors.
+
+    That limit differs by version (near 1000 levels on 3.11, 10,000 on 3.12+); the CLI allows 64 (cli._MAX_DEPTH).
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -4,10 +4,9 @@ tests/cli_golden.json is the one oracle for what daxcalc returns and prints:
 each row pins the exit code, stdout and stderr of one argv over a fixed file
 set, for every subcommand in every mode.  A check that such a row can make
 belongs there.  This file holds the rest: the console-script target, a
-directory argument and every file role, help and usage exit codes (which hold
-on interpreters whose argparse text differs), hostile and overlong input, a
-message that must not depend on the hash seed, inputs no golden row uses, and
-a reader that closes stdout early.
+directory argument and every file role, help and usage exit codes, hostile,
+over-deep and overlong input, a message that must not depend on the hash
+seed, inputs no golden row uses, and a reader that closes stdout early.
 """
 
 import importlib
@@ -82,11 +81,13 @@ FILE_ROLES = {
     "pairing-points": ["pairing", "--preset", "boundary_connect_sum", "{}"],
     "run-session": ["run", "{}"],
 }
+# each prefix holds the file's path at {}
 FILE_FAULTS = {
-    "missing": (2, "validation error: cannot read "),
-    "directory": (2, "validation error: cannot read "),
-    "not-utf8": (1, "parse error: "),
-    "broken-json": (1, "parse error: invalid JSON: "),
+    "missing": (2, "validation error: cannot read {}: "),
+    "directory": (2, "validation error: cannot read {}: "),
+    "not-utf8": (1, "parse error: {} is not valid UTF-8\n"),
+    "broken-json": (1, "parse error: {}: invalid JSON: "),
+    "too-deep": (1, "parse error: {}: invalid JSON: nesting too deep\n"),
 }
 
 
@@ -100,16 +101,16 @@ def test_every_file_role_reports_a_bad_file_in_one_line(tmp_path, capsys, role, 
         path.write_bytes(b'{"label": "\xff"}')
     elif fault == "broken-json":
         path.write_text('{"points": [')
+    elif fault == "too-deep":  # lists and objects, one level past the CLI's limit of 64
+        path.write_text('[{"a": ' * 32 + "[]" + "}]" * 32)
     code = main([str(path) if arg == "{}" else arg for arg in FILE_ROLES[role]])
     captured = capsys.readouterr()
     expected_code, prefix = FILE_FAULTS[fault]
     assert (code, captured.out) == (expected_code, "")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-    assert captured.err.startswith(prefix)
+    assert captured.err.startswith(prefix.format(path))
     if fault == "broken-json":
         assert captured.err.endswith(" (at position 12)\n")
-    else:
-        assert str(path) in captured.err
 
 
 def test_usage_error_exit_code(capsys):
@@ -151,6 +152,14 @@ def test_hostile_input_is_a_parse_error(tmp_path, capsys, argv, content):
     assert captured.err.startswith("parse error:")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_a_file_at_the_nesting_limit_is_decoded(tmp_path, capsys):
+    # 64 levels decode on every interpreter and reach validation; FILE_FAULTS' too-deep file has 65
+    path = tmp_path / "deep.json"
+    path.write_text('[{"a": ' * 32 + "1" + "}]" * 32)
+    code = main(["invariant", "--preset", "connect_sum", "--disc", str(path)])
+    assert (code, capsys.readouterr().err) == (2, f"validation error: {path}: expected an object, got list\n")
 
 
 def test_overlong_computed_coefficient_is_a_validation_error(capsys):

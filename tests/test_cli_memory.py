@@ -9,7 +9,9 @@ a small input.  tracemalloc's peak of cli.main(["run", ...]), with stdout a
 real file, minus the peak of load_json + session_from_json + execute on the
 same file, is what printing costs; it stays under BOUND times the bytes
 written.  On CPython 3.11 that is about 1.2 (text) and 0.15 (--json); joining
-the whole output into one string before writing it gave 3.2 and 5.5.
+the whole output into one string before writing it gave 3.2 and 5.5.  The
+--json case also checks what was written: the same bytes as json.dumps of
+its records with indent=2, and one record per query.
 """
 
 import gc
@@ -75,6 +77,11 @@ def test_printing_a_session_holds_less_than_two_copies_of_its_output(flags, tmp_
         printing = peak(lambda: main(argv))
     written = out.stat().st_size
     assert written > 0.4 * 2**20
+    if flags:
+        text = out.read_text(encoding="utf-8")
+        records = json.loads(text)
+        assert text == json.dumps(records, indent=2) + "\n"
+        assert len(records) == QUERIES
     computing = peak(lambda: execute(session_from_json(load_json(path.read_text(encoding="utf-8")), str(path))))
     assert printing - computing < BOUND * written, (
         f"printing {written} B cost {printing - computing} B above decode + execute ({computing} B)"
