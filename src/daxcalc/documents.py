@@ -5,7 +5,9 @@ JSON raises ParseError at the decoder's character offset.  Each list item's
 errors carry its index, as in "sr_discs[1].sign".  Word and ring expression
 strings embedded in documents use the text grammar from words.py, and a bad
 one reports both its field path and its character position, as in
-"sr_discs[1].word: unexpected trailing input (at position 2)".
+"sr_discs[1].word: unexpected trailing input (at position 2)".  Each
+distinct word string in a document is parsed once and every field that spells
+it shares that element; the table lives only for the one decoding call.
 
 A session document bundles one manifold (preset id or inline object), a named
 map of discs and a list of queries:
@@ -93,18 +95,27 @@ def _list(value: Any, path: str, decode, *args) -> tuple:
     return tuple(decode(entry, *args, f"{path}[{i}]") for i, entry in enumerate(_expect(value, list, path)))
 
 
-def _field(value: Any, parse, spec: GroupSpec, path: str):
-    """A string field parsed by parse_word or parse_ringexpr, errors prefixed by path."""
-    return _at(path, parse, _expect(value, str, path), spec)
+def _ringexpr(value: Any, spec: GroupSpec, path: str):
+    """A ring expression field parsed by parse_ringexpr, errors prefixed by path; unlike words, never shared."""
+    return _at(path, parse_ringexpr, _expect(value, str, path), spec)
 
 
-def _signed_word(value: Any, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
+def _word(value: Any, spec: GroupSpec, words: dict[str, GroupElement], path: str) -> GroupElement:
+    """A word field: words' element for its text (one table per spec and call), else parse_word's, stored once it parsed."""
+    text = _expect(value, str, path)
+    g = words.get(text)
+    if g is None:
+        g = words[text] = _at(path, parse_word, text, spec)
+    return g
+
+
+def _signed_word(value: Any, spec: GroupSpec, words: dict, path: str) -> tuple[int, GroupElement]:
     """An object {"sign": 1 or -1, "word": WORD} in sr_discs or a point list; evaluation drops identity loops."""
     data = _object(value, path, {"sign", "word"})
     sign = _expect(data["sign"], int, f"{path}.sign")
     if problem := _sign_problem(sign):
         raise ValidationError(problem, f"{path}.sign")
-    return sign, _field(data["word"], parse_word, spec, f"{path}.word")
+    return sign, _word(data["word"], spec, words, f"{path}.word")
 
 
 _FACTOR_KEYS = {"Z": {"type", "name"}, "Zn": {"type", "name", "n"}}
@@ -151,7 +162,7 @@ def kernel_from_json(obj: Any, spec: GroupSpec, path: str = "dax_kernel") -> Ker
         return _KERNEL_PRESETS[name]()
     if "generators" in data:
         _object(data, path, {"generators"})
-        gens = _list(data["generators"], f"{path}.generators", _field, parse_ringexpr, spec)
+        gens = _list(data["generators"], f"{path}.generators", _ringexpr, spec)
         return _at(path, ExplicitKernel, gens)
     raise ValidationError("kernel needs either a 'preset' or a 'generators' key", path)
 
@@ -181,9 +192,13 @@ def manifold_to_json(manifold: ManifoldModel) -> dict:
 
 
 def disc_from_json(obj: Any, spec: GroupSpec, path: str = "disc") -> SRData:
+    return _disc(obj, spec, {}, path)
+
+
+def _disc(obj: Any, spec: GroupSpec, words: dict, path: str) -> SRData:
     data = _object(obj, path, set(), {"double_tubes", "sr_discs"})
-    tubes = _list(data.get("double_tubes", []), f"{path}.double_tubes", _field, parse_word, spec)
-    discs = _list(data.get("sr_discs", []), f"{path}.sr_discs", _signed_word, spec)
+    tubes = _list(data.get("double_tubes", []), f"{path}.double_tubes", _word, spec, words)
+    discs = _list(data.get("sr_discs", []), f"{path}.sr_discs", _signed_word, spec, words)
     return SRData(tubes, discs)
 
 
@@ -197,7 +212,7 @@ def disc_to_json(data: SRData) -> dict:
 def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
     """The standalone file form {"points": [...]} used by the pairing command."""
     data = _object(obj, path, {"points"})
-    return _list(data["points"], f"{path}.points", _signed_word, spec)
+    return _list(data["points"], f"{path}.points", _signed_word, spec, {})
 
 
 @dataclass(frozen=True)
@@ -209,7 +224,7 @@ class SessionDocument:
     queries: tuple[tuple[str, Any], ...]
 
 
-def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> tuple[str, Any]:
+def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, words: dict, path: str) -> tuple[str, Any]:
     data = _expect(obj, dict, path)
     kind = _expect(data.get("kind"), str, f"{path}.kind")
 
@@ -229,10 +244,10 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, path: str) -> tu
         return kind, _list(data["discs"], f"{path}.discs", disc_name)
     if kind == "reduce":
         _object(data, path, {"kind", "element"})
-        return kind, _field(data["element"], parse_ringexpr, spec, f"{path}.element")
+        return kind, _ringexpr(data["element"], spec, f"{path}.element")
     if kind == "pairing":
         _object(data, path, {"kind", "points"})
-        return kind, _list(data["points"], f"{path}.points", _signed_word, spec)
+        return kind, _list(data["points"], f"{path}.points", _signed_word, spec, words)
     raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
 
 
@@ -242,10 +257,11 @@ def session_from_json(obj: Any, path: str = "session") -> SessionDocument:
         manifold = _at(f"{path}.manifold", instantiate, data["manifold"])
     else:
         manifold = manifold_from_json(data["manifold"], f"{path}.manifold")
+    words: dict[str, GroupElement] = {}  # every word field of this session, by its text
     discs: dict[str, SRData] = {}
     for name, entry in _expect(data.get("discs", {}), dict, f"{path}.discs").items():
-        discs[name] = disc_from_json(entry, manifold.group, f"{path}.discs.{name}")
-    queries = _list(data.get("queries", []), f"{path}.queries", _query_from_json, discs, manifold.group)
+        discs[name] = _disc(entry, manifold.group, words, f"{path}.discs.{name}")
+    queries = _list(data.get("queries", []), f"{path}.queries", _query_from_json, discs, manifold.group, words)
     return SessionDocument(manifold, discs, queries)
 
 

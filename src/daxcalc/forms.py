@@ -101,8 +101,9 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     _require(data, SRData, "disc data must be an SRData")
     _require(manifold, ManifoldModel, "manifold must be a ManifoldModel")
     problems: list[str] = []
+    group = manifold.group  # decoded elements share this object, so `is` spares them the dataclass __eq__
     for i, tube in enumerate(data.double_tubes):
-        if not isinstance(tube, GroupElement) or tube.spec != manifold.group:
+        if not isinstance(tube, GroupElement) or (tube.spec is not group and tube.spec != group):
             problems.append(f"double_tubes[{i}]: element is not over the manifold group")
         elif tube.is_identity:
             problems.append(f"double_tubes[{i}]: element is trivial")
@@ -111,7 +112,7 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     for j, (sign, g) in enumerate(data.sr_discs):
         if problem := _sign_problem(sign):
             problems.append(f"sr_discs[{j}]: {problem}")
-        if not isinstance(g, GroupElement) or g.spec != manifold.group:
+        if not isinstance(g, GroupElement) or (g.spec is not group and g.spec != group):
             problems.append(f"sr_discs[{j}]: element is not over the manifold group")
         elif g.is_identity:
             problems.append(f"sr_discs[{j}]: element is trivial")

@@ -35,9 +35,13 @@ from daxcalc import (
     ValidationError,
     Verdict,
     canonical_key,
+    instantiate,
     normalize,
+    parse_ringexpr,
+    parse_word,
     phi,
 )
+from daxcalc.documents import SessionDocument, manifold_from_json
 from daxcalc.forms import validate_or_raise
 
 FACTOR_NAMES = ("a", "b", "c")
@@ -628,3 +632,105 @@ def reference_parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
         sign = -1 if tokens[i][0] == "-" else 1
         i += 1
     return RingElement.from_mapping(spec, combined)
+
+
+# documents.session_from_json and the decoders under it from before each
+# distinct word text was parsed once per document: every field calls
+# parse_word, and no two fields share an element.  Kept verbatim (only the
+# names changed) as the reference for the decode differential, with one other
+# change: the sign check is spelled out, since helpers read no private name.
+_REFERENCE_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _reference_expect(value, kind: type, path: str):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"expected {_REFERENCE_TYPE_NAMES[kind]}, got {type(value).__name__}", path)
+    return value
+
+
+def _reference_object(value, path: str, required: set, optional: set = frozenset()) -> dict:
+    """An object with every required key and no key outside required and optional."""
+    data = _reference_expect(value, dict, path)
+    missing = required - data.keys()
+    if missing:  # the smallest, so the message does not depend on hash order
+        raise ValidationError(f"missing required key {min(missing)!r}", path)
+    for key in data:
+        if key not in required and key not in optional:
+            raise ValidationError(f"unknown key {key!r}", path)
+    return data
+
+
+def _reference_at(path: str, build, *args):
+    """build(*args), its ParseError or ValidationError re-raised under path; an error's own path goes below path."""
+    try:
+        return build(*args)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.message}", exc.position) from None
+    except ValidationError as exc:
+        raise ValidationError(exc.message, path if exc.path is None else f"{path}.{exc.path}") from None
+
+
+def _reference_list(value, path: str, decode, *args) -> tuple:
+    """A list field, each entry decoded by decode(entry, *args, f"{path}[{i}]")."""
+    return tuple(decode(entry, *args, f"{path}[{i}]") for i, entry in enumerate(_reference_expect(value, list, path)))
+
+
+def _reference_field(value, parse, spec: GroupSpec, path: str):
+    """A string field parsed by parse_word or parse_ringexpr, errors prefixed by path."""
+    return _reference_at(path, parse, _reference_expect(value, str, path), spec)
+
+
+def _reference_signed_word(value, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
+    """An object {"sign": 1 or -1, "word": WORD} in sr_discs or a point list; evaluation drops identity loops."""
+    data = _reference_object(value, path, {"sign", "word"})
+    sign = _reference_expect(data["sign"], int, f"{path}.sign")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValidationError(f"sign must be +1 or -1, got {sign}", f"{path}.sign")
+    return sign, _reference_field(data["word"], parse_word, spec, f"{path}.word")
+
+
+def reference_disc_from_json(obj, spec: GroupSpec, path: str = "disc") -> SRData:
+    data = _reference_object(obj, path, set(), {"double_tubes", "sr_discs"})
+    tubes = _reference_list(data.get("double_tubes", []), f"{path}.double_tubes", _reference_field, parse_word, spec)
+    discs = _reference_list(data.get("sr_discs", []), f"{path}.sr_discs", _reference_signed_word, spec)
+    return SRData(tubes, discs)
+
+
+def _reference_query_from_json(obj, declared: dict, spec: GroupSpec, path: str):
+    data = _reference_expect(obj, dict, path)
+    kind = _reference_expect(data.get("kind"), str, f"{path}.kind")
+
+    def disc_name(value, dpath: str) -> str:
+        name = _reference_expect(value, str, dpath)
+        if name not in declared:
+            raise ValidationError(f"undeclared disc {name!r}", dpath)
+        return name
+
+    if kind in ("invariant", "normalize"):
+        _reference_object(data, path, {"kind", "disc"})
+        return kind, disc_name(data["disc"], f"{path}.disc")
+    if kind == "compare":
+        _reference_object(data, path, {"kind", "discs"})
+        if len(_reference_expect(data["discs"], list, f"{path}.discs")) != 2:
+            raise ValidationError("compare takes exactly two disc names", f"{path}.discs")
+        return kind, _reference_list(data["discs"], f"{path}.discs", disc_name)
+    if kind == "reduce":
+        _reference_object(data, path, {"kind", "element"})
+        return kind, _reference_field(data["element"], parse_ringexpr, spec, f"{path}.element")
+    if kind == "pairing":
+        _reference_object(data, path, {"kind", "points"})
+        return kind, _reference_list(data["points"], f"{path}.points", _reference_signed_word, spec)
+    raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
+
+
+def reference_session_from_json(obj, path: str = "session") -> SessionDocument:
+    data = _reference_object(obj, path, {"manifold"}, {"discs", "queries"})
+    if isinstance(data["manifold"], str):
+        manifold = _reference_at(f"{path}.manifold", instantiate, data["manifold"])
+    else:
+        manifold = manifold_from_json(data["manifold"], f"{path}.manifold")
+    discs: dict[str, SRData] = {}
+    for name, entry in _reference_expect(data.get("discs", {}), dict, f"{path}.discs").items():
+        discs[name] = reference_disc_from_json(entry, manifold.group, f"{path}.discs.{name}")
+    queries = _reference_list(data.get("queries", []), f"{path}.queries", _reference_query_from_json, discs, manifold.group)
+    return SessionDocument(manifold, discs, queries)

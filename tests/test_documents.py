@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import daxcalc.documents
 from daxcalc import (
     ExplicitKernel,
     Factor,
@@ -320,3 +321,53 @@ def test_execute_matches_manifold_kernel_fuzz():
         results = execute(doc)
         assert results[0]["value"] == str(phi(data, manifold))
         assert disc_from_json(results[1]["value"], spec) == normalize(data, manifold)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The texts documents passes to parse_word, in call order."""
+    calls = []
+    original = daxcalc.documents.parse_word
+
+    def counted(text, spec):
+        calls.append(text)
+        return original(text, spec)
+
+    monkeypatch.setattr(daxcalc.documents, "parse_word", counted)
+    return calls
+
+
+def _signed(words):
+    return [{"sign": 1, "word": w} for w in words]
+
+
+def test_each_distinct_word_is_parsed_once_per_session(parse_calls):
+    texts = ["t", "t^2", "t*t", "t^-1"]  # K = 4 distinct texts, two of them one value
+    fields = [texts[i % 4] for i in range(30)]
+    obj = {
+        "manifold": "boundary_connect_sum",
+        "discs": {"d1": {"double_tubes": fields[:10], "sr_discs": _signed(fields[10:20])}, "d2": {}},
+        "queries": [{"kind": "pairing", "points": _signed(fields[20:])}],
+    }
+    group = instantiate("boundary_connect_sum").group
+    keys = set(vars(group))
+    doc = session_from_json(obj)
+    assert sorted(parse_calls) == sorted(texts)  # one call per distinct text, where N = 30 were made
+    elements = doc.discs["d1"].double_tubes + tuple(g for _, g in doc.discs["d1"].sr_discs + doc.queries[0][1])
+    by_text = {}
+    for text, g in zip(fields, elements):
+        assert by_text.setdefault(text, g) is g
+    assert by_text["t^2"] == by_text["t*t"] and by_text["t^2"] is not by_text["t*t"]
+    again = session_from_json(obj)
+    again_elements = again.discs["d1"].double_tubes + tuple(g for _, g in again.discs["d1"].sr_discs)
+    assert not {id(g) for g in elements} & {id(g) for g in again_elements}  # nothing outlives a call
+    assert set(vars(group)) == keys  # the preset spec holds no table
+
+
+def test_standalone_disc_and_point_files_share_words_within_one_call(parse_calls):
+    disc = disc_from_json({"double_tubes": ["a", "a"], "sr_discs": _signed(["t", "a", "t"])}, SPEC)
+    assert parse_calls == ["a", "t"]
+    assert disc.double_tubes[0] is disc.double_tubes[1] is disc.sr_discs[1][1]
+    points = point_document_from_json({"points": _signed(["t", "t"])}, SPEC)
+    assert parse_calls == ["a", "t", "t"]
+    assert points[0][1] is points[1][1] and points[0][1] is not disc.sr_discs[0][1]

@@ -79,6 +79,19 @@ def test_validate_clean():
     assert validate(data, M) == []
 
 
+def test_validate_compares_specs_by_value_not_identity():
+    twin = GroupSpec((Factor("t"), Factor("a", 2)))  # equal to SPEC, a different object
+    assert twin == SPEC and twin is not SPEC
+    data = SRData((twin.generator("a"),), ((1, twin.generator("t")),))
+    assert validate(data, M) == []
+    other = GroupSpec((Factor("t"), Factor("a", 4)))
+    data = SRData((other.generator("a") ** 2,), ((1, other.generator("t")),))
+    assert validate(data, M) == [
+        "double_tubes[0]: element is not over the manifold group",
+        "sr_discs[0]: element is not over the manifold group",
+    ]
+
+
 def test_normalize_merges_tube_pairs():
     assert normalize(SRData((A, A), ()), M) == SRData((), ((1, A),))
     assert normalize(SRData((A, A, A), ()), M) == SRData((A,), ((1, A),))
