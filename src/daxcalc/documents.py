@@ -28,13 +28,12 @@ line in text mode, or one object in JSON mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 from .engine import compare, phi
 from .errors import ParseError, ValidationError
 from .forms import ManifoldModel, SRData, instantiate, normalize
-from .groups import Factor, GroupElement, GroupSpec
+from .groups import Factor, GroupElement, GroupSpec, _Value
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 from .pairing import dax_value
 from .ring import _sign_problem
@@ -215,13 +214,13 @@ def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") ->
     return _list(data["points"], f"{path}.points", _signed_word, spec, {})
 
 
-@dataclass(frozen=True)
-class SessionDocument:
-    manifold: ManifoldModel
-    discs: dict[str, SRData]
-    # (kind, value) pairs; value decodes the kind's one field: a disc name,
-    # a pair of disc names, a RingElement or a PointList
-    queries: tuple[tuple[str, Any], ...]
+class SessionDocument(_Value):
+    _fields = ("manifold", "discs", "queries")
+
+    # queries holds (kind, value) pairs; value decodes the kind's one field:
+    # a disc name, a pair of disc names, a RingElement or a PointList
+    def __init__(self, manifold: ManifoldModel, discs: dict[str, SRData], queries: tuple[tuple[str, Any], ...]) -> None:
+        self._set(manifold=manifold, discs=discs, queries=queries)
 
 
 def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, words: dict, path: str) -> tuple[str, Any]:

@@ -15,9 +15,9 @@ verdict reduces a second time, for its certificate, the reduced phi(d1).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .forms import ManifoldModel, SRData, normalize, validate_or_raise
+from .groups import _Value
 from .ring import RingElement
 
 ISOTOPIC = "ISOTOPIC"
@@ -25,11 +25,11 @@ NOT_ISOTOPIC = "NOT_ISOTOPIC"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    certificate: str
-    rule: str
+class Verdict(_Value):
+    _fields = ("outcome", "certificate", "rule")  # execute copies vars(verdict) in this order
+
+    def __init__(self, outcome: str, certificate: str, rule: str) -> None:
+        self._set(outcome=outcome, certificate=certificate, rule=rule)
 
 
 def phi(data: SRData, manifold: ManifoldModel) -> RingElement:

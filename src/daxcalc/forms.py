@@ -25,50 +25,55 @@ generator lists.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ValidationError, _require, _require_iter
-from .groups import Factor, GroupElement, GroupSpec, canonical_key
+from .groups import Factor, GroupElement, GroupSpec, _Value, canonical_key
 from .kernel import ExplicitKernel, InversePairsKernel, KernelSpec, TrivialKernel
 from .ring import _sign_problem
 
 
-@dataclass(frozen=True)
-class SRData:
+class SRData(_Value):
     """Disc data: double tubes and signed self-referential discs."""
 
-    double_tubes: tuple[GroupElement, ...] = ()
-    sr_discs: tuple[tuple[int, GroupElement], ...] = ()
+    _fields = ("double_tubes", "sr_discs")
+    double_tubes = sr_discs = ()
 
-    def __post_init__(self):
+    def __init__(self, double_tubes: tuple[GroupElement, ...] = (), sr_discs: tuple[tuple[int, GroupElement], ...] = ()) -> None:
         what = "double_tubes and sr_discs must be sequences"
-        object.__setattr__(self, "double_tubes", tuple(_require_iter(self.double_tubes, what)))
-        discs = tuple(_require_iter(self.sr_discs, what))
+        tubes = tuple(_require_iter(double_tubes, what))
+        discs = tuple(_require_iter(sr_discs, what))
         for j, disc in enumerate(discs):
             if not isinstance(disc, (tuple, list)) or len(disc) != 2:
                 raise ValidationError("disc must be a (sign, element) pair", f"sr_discs[{j}]")
-        object.__setattr__(self, "sr_discs", tuple(tuple(d) for d in discs))
+        self._set(double_tubes=tubes, sr_discs=tuple(tuple(d) for d in discs))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.double_tubes == other.double_tubes and self.sr_discs == other.sr_discs
+
+    def __hash__(self):
+        return hash((self.double_tubes, self.sr_discs))
 
     @property
     def is_empty(self) -> bool:
         return not self.double_tubes and not self.sr_discs
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(_Value):
     """The ambient data the invariant depends on: group, kernel, a label."""
 
-    group: GroupSpec
-    kernel: KernelSpec
-    label: str = ""
+    _fields = ("group", "kernel", "label")
+    label = ""
 
-    def __post_init__(self):
-        _require(self.group, GroupSpec, "manifold group must be a GroupSpec")
-        _require(self.kernel, KernelSpec, "manifold kernel must be a kernel spec")
-        _require(self.label, str, "manifold label must be a string")
-        gens = self.kernel.generators if isinstance(self.kernel, ExplicitKernel) else ()
-        if gens and gens[0].spec != self.group:  # ExplicitKernel holds all to one spec
+    def __init__(self, group: GroupSpec, kernel: KernelSpec, label: str = "") -> None:
+        _require(group, GroupSpec, "manifold group must be a GroupSpec")
+        _require(kernel, KernelSpec, "manifold kernel must be a kernel spec")
+        _require(label, str, "manifold label must be a string")
+        gens = kernel.generators if isinstance(kernel, ExplicitKernel) else ()
+        if gens and gens[0].spec != group:  # ExplicitKernel holds all to one spec
             raise ValidationError("kernel generators[0] is not over the manifold group")
+        self._set(group=group, kernel=kernel, label=label)
 
     def describe(self) -> str:
         return f"group: {self.group}  kernel: {self.kernel.describe()}"
@@ -101,7 +106,7 @@ def validate(data: SRData, manifold: ManifoldModel) -> list[str]:
     _require(data, SRData, "disc data must be an SRData")
     _require(manifold, ManifoldModel, "manifold must be a ManifoldModel")
     problems: list[str] = []
-    group = manifold.group  # decoded elements share this object, so `is` spares them the dataclass __eq__
+    group = manifold.group  # decoded elements share this object, so `is` spares them GroupSpec.__eq__
     for i, tube in enumerate(data.double_tubes):
         if not isinstance(tube, GroupElement) or (tube.spec is not group and tube.spec != group):
             problems.append(f"double_tubes[{i}]: element is not over the manifold group")

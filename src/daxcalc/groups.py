@@ -16,7 +16,6 @@ at most _MAX_NAME characters, and input never makes either grow.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import ValidationError, _require, _require_iter
@@ -27,48 +26,100 @@ _MAX_FACTORS = 256  # bounds the per-factor tables: about 6 KiB each for short n
 _MAX_NAME = 64  # the spelling table holds 31 copies of each name
 
 
-@dataclass(frozen=True)
-class Factor:
+class _Value:
+    """Base of the immutable values: repr, == and hash read the fields named in _fields.
+
+    A constructor checks its arguments, then sets each field once through _set;
+    any later assignment or deletion raises AttributeError.  A value without
+    fields, such as a preset kernel, takes no arguments.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        pass
+
+    def __init_subclass__(cls):
+        # the constructor signatures are public and say "-> None"; the __future__ import would make that the string 'None'
+        cls.__init__.__annotations__["return"] = None
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+
+class Factor(_Value):
     """One cyclic factor: infinite cyclic when order is None, else Z/order."""
 
-    name: str
-    order: int | None = None
+    _fields = ("name", "order")
+    order = None
 
-    def __post_init__(self):
-        if isinstance(self.name, str) and len(self.name) > _MAX_NAME:  # before the regex walks it
-            raise ValidationError(f"a factor name may have at most {_MAX_NAME} characters, got {len(self.name)}")
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
-            raise ValidationError(f"invalid factor name {self.name!r}")
-        if self.order is not None and type(self.order) is not int:
-            raise ValidationError(f"finite factor {self.name!r} must have an integer order, got {self.order!r}")
-        if self.order is not None and self.order < 2:
+    def __init__(self, name: str, order: int | None = None) -> None:
+        if isinstance(name, str) and len(name) > _MAX_NAME:  # before the regex walks it
+            raise ValidationError(f"a factor name may have at most {_MAX_NAME} characters, got {len(name)}")
+        if not isinstance(name, str) or not _NAME_RE.match(name):
+            raise ValidationError(f"invalid factor name {name!r}")
+        if order is not None and type(order) is not int:
+            raise ValidationError(f"finite factor {name!r} must have an integer order, got {order!r}")
+        if order is not None and order < 2:
             raise ValidationError(
-                f"finite factor {self.name!r} must have order >= 2, got {self.order}"
+                f"finite factor {name!r} must have order >= 2, got {order}"
             )
+        self._set(name=name, order=order)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Value):
     """An ordered free product of cyclic factors; empty means the trivial group."""
 
-    factors: tuple[Factor, ...] = ()
+    _fields = ("factors",)
+    factors = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(_require_iter(self.factors, "factors must be an iterable of Factor")))
-        if len(self.factors) > _MAX_FACTORS:
-            raise ValidationError(f"a group may have at most {_MAX_FACTORS} factors, got {len(self.factors)}")
-        for i, f in enumerate(self.factors):
+    def __init__(self, factors: tuple[Factor, ...] = ()) -> None:
+        factors = tuple(_require_iter(factors, "factors must be an iterable of Factor"))
+        if len(factors) > _MAX_FACTORS:
+            raise ValidationError(f"a group may have at most {_MAX_FACTORS} factors, got {len(factors)}")
+        for i, f in enumerate(factors):
             if not isinstance(f, Factor):
                 raise ValidationError(f"{f!r} is not a Factor", f"factors[{i}]")
-        # the name, order, pair and spelling tables are not fields, so ==, hash and repr see only the factors
-        object.__setattr__(self, "_index", {f.name: i for i, f in enumerate(self.factors)})
-        if len(self._index) != len(self.factors):
+        index = {f.name: i for i, f in enumerate(factors)}
+        if len(index) != len(factors):
             raise ValidationError("factor names must be pairwise distinct")
-        object.__setattr__(self, "_orders", tuple(f.order for f in self.factors))
         # _merge's one shared (index, exp) per reduced syllable with |exp| <= 16; input never adds to it
-        object.__setattr__(self, "_pairs", tuple({e: (i, e) for e in range(-16, 17) if e and (f.order is None or 0 < e < f.order)} for i, f in enumerate(self.factors)))
-        # words._syllables' one lookup per spelling with 1 <= |exp| <= 16; the raw (unreduced) pair, _pairs' where it has one
-        object.__setattr__(self, "_spellings", {f.name if e == 1 else f"{f.name}^{e}": self._pairs[i].get(e) or (i, e) for i, f in enumerate(self.factors) for e in range(-16, 17) if e})
+        pairs = tuple({e: (i, e) for e in range(-16, 17) if e and (f.order is None or 0 < e < f.order)} for i, f in enumerate(factors))
+        # the name, order, pair and spelling tables are left out of _fields, so ==, hash and repr see only the factors
+        self._set(
+            factors=factors,
+            _index=index,
+            _orders=tuple(f.order for f in factors),
+            _pairs=pairs,
+            # words._syllables' one lookup per spelling with 1 <= |exp| <= 16; the raw (unreduced) pair, _pairs' where it has one
+            _spellings={f.name if e == 1 else f"{f.name}^{e}": pairs[i].get(e) or (i, e) for i, f in enumerate(factors) for e in range(-16, 17) if e},
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.factors == other.factors
+
+    def __hash__(self):
+        return hash(self.factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -103,7 +154,7 @@ class GroupSpec:
         return self._merge([], pairs)
 
     def _merge(self, stack: list[tuple[int, int]], syllables: Iterable[tuple[int, int]]) -> "GroupElement":
-        """Merge each (in-range index, int exponent) pair onto the reduced word in stack; wrap it, skipping __post_init__."""
+        """Merge each (in-range index, int exponent) pair onto the reduced word in stack; wrap it, skipping the constructor's checks."""
         orders, pairs = self._orders, self._pairs
         for index, exp in syllables:
             if stack and stack[-1][0] == index:
@@ -124,21 +175,19 @@ class GroupSpec:
         return " * ".join(parts)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """A reduced word over a GroupSpec; the empty word is the identity."""
 
-    spec: GroupSpec = field(hash=False)  # compared by ==, left out of the hash
-    syllables: tuple[tuple[int, int], ...]
+    _fields = ("spec", "syllables")
 
-    def __post_init__(self):
-        _require(self.spec, GroupSpec, "element spec must be a GroupSpec")
+    def __init__(self, spec: GroupSpec, syllables: tuple[tuple[int, int], ...]) -> None:
+        _require(spec, GroupSpec, "element spec must be a GroupSpec")
         what = "syllables must be (factor index, exponent) pairs"
-        entries = tuple(_require_iter(self.syllables, what))  # outside the try: the caller's own TypeError passes
+        entries = tuple(_require_iter(syllables, what))  # outside the try: the caller's own TypeError passes
         try:
-            object.__setattr__(self, "syllables", tuple(map(tuple, entries)))
-            orders, prev = self.spec._orders, None
-            for index, exp in self.syllables:
+            syllables = tuple(map(tuple, entries))
+            orders, prev = spec._orders, None
+            for index, exp in syllables:
                 if type(index) is not int:
                     raise ValidationError(f"factor index {index!r} is not an integer")
                 if type(exp) is int and not 0 <= index < len(orders):
@@ -150,6 +199,15 @@ class GroupElement:
                 prev = index
         except (TypeError, ValueError):  # an entry that is not a pair
             raise ValidationError(what) from None
+        self._set(spec=spec, syllables=syllables)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.syllables == other.syllables and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self):
+        return hash(self.syllables)  # the spec is compared by ==, left out of the hash
 
     @property
     def is_identity(self) -> bool:

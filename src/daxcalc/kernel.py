@@ -25,18 +25,16 @@ the inverse-pair pattern are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Collection, Iterable, Union
 
 from .errors import ValidationError, _require, _require_iter
-from .groups import canonical_key
+from .groups import _Value, canonical_key
 from .ring import RingElement
 
 
-@dataclass(frozen=True)
-class TrivialKernel:
+class TrivialKernel(_Value):
     """Zero kernel: the quotient is the group ring itself."""
 
     def reduce(self, x: RingElement) -> RingElement:
@@ -46,8 +44,7 @@ class TrivialKernel:
         return "trivial"
 
 
-@dataclass(frozen=True)
-class InversePairsKernel:
+class InversePairsKernel(_Value):
     """Kernel generated by w - w^-1 for every nontrivial w.
 
     Each support element is folded onto the canonically smaller of {w, w^-1};
@@ -65,22 +62,22 @@ class InversePairsKernel:
         return "inverse_pairs"
 
 
-@dataclass(frozen=True)
-class ExplicitKernel:
+class ExplicitKernel(_Value):
     """Kernel presented by a finite list of nonzero generators."""
 
-    generators: tuple[RingElement, ...]
+    _fields = ("generators",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(_require_iter(self.generators, "generators must be an iterable of ring elements")))
-        for i, gen in enumerate(self.generators):
+    def __init__(self, generators: tuple[RingElement, ...]) -> None:
+        generators = tuple(_require_iter(generators, "generators must be an iterable of ring elements"))
+        for i, gen in enumerate(generators):
             if not isinstance(gen, RingElement):
                 raise ValidationError("kernel generator must be a ring element", f"generators[{i}]")
             if gen.is_zero:
                 raise ValidationError("kernel generator must be nonzero", f"generators[{i}]")
-        specs = {gen.spec for gen in self.generators}
+        specs = {gen.spec for gen in generators}
         if len(specs) > 1:
             raise ValidationError("kernel generators must share one group spec")
+        self._set(generators=generators)
 
     @cached_property
     def _lattice(self) -> tuple[list, dict, list[list[int]]]:
@@ -96,7 +93,7 @@ class ExplicitKernel:
     def reduce(self, x: RingElement) -> RingElement:
         if not self.generators:
             return _ring_value(x)
-        # __post_init__ guarantees that all generators share one spec
+        # the constructor guarantees that all generators share one spec
         if self.generators[0].spec != _ring_value(x).spec:
             raise ValidationError("kernel generators use a different group spec")
         basis, index, rows = self._lattice

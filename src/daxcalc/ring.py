@@ -12,21 +12,22 @@ which check nothing; callers pass terms unsorted, and _trusted sorts them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError, _require, _require_iter
-from .groups import GroupElement, GroupSpec, canonical_key
+from .groups import GroupElement, GroupSpec, _Value, canonical_key
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(_Value):
     """Finitely supported integer combination, keys sorted canonically."""
 
-    spec: GroupSpec
-    terms: tuple[tuple[GroupElement, int], ...]
+    _fields = ("spec", "terms")
 
-    def __post_init__(self):
+    def __init__(self, spec: GroupSpec, terms: tuple[tuple[GroupElement, int], ...]) -> None:
+        self._set(spec=spec, terms=terms)
+        self.__post_init__()
+
+    def __post_init__(self):  # the checks, apart from __init__ so that a tracer can wrap them
         _require(self.spec, GroupSpec, "ring element spec must be a GroupSpec")
         what = "terms must be (group element, coefficient) pairs"
         entries = tuple(_require_iter(self.terms, what))  # outside the try: the caller's own TypeError passes
@@ -48,6 +49,14 @@ class RingElement:
         # canonical_key is injective on reduced words: sorted and distinct = keys increase
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValidationError("terms must be strictly sorted in canonical order")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.terms == other.terms and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self):
+        return hash(self.terms)
 
     @classmethod
     def _trusted(cls, spec: GroupSpec, keyed: Iterable[tuple[tuple, GroupElement, int]]) -> "RingElement":

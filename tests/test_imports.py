@@ -16,10 +16,14 @@ _counted check nothing either, so only ring.py and the modules that hand them
 values and elements already checked (engine.py, kernel.py, words.py) may call
 them.  Each value type has one raw builder that skips the constructor's
 checks: only GroupSpec._merge and RingElement._trusted call `__new__`
-(object.__new__ or any other).
+(object.__new__ or any other).  The value classes are written out by hand,
+so no module imports dataclasses, and importing the CLI loads none of the
+modules that dataclasses would pull in.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -233,3 +237,22 @@ def test_only_merge_and_ring_trusted_build_without_checks():
         }
         found += [f"{path.name}:{line}" for line in new_calls(tree) if line not in allowed]
     assert not found, f"build values through their constructors, GroupSpec._merge or RingElement._trusted: {found}"
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in MODULES:
+        for node in imports(ast.parse(path.read_text(), str(path))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            found += [f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert not found, f"write the value class by hand on groups._Value: {found}"
+
+
+def test_importing_the_cli_loads_no_class_generation_modules():
+    # only what the import adds is checked, so a module the interpreter's site setup loads does not count
+    code = "import sys; before = set(sys.modules); import daxcalc.cli; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    added = set(result.stdout.split())
+    assert "daxcalc.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, sorted(added)
