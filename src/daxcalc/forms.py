@@ -47,14 +47,6 @@ class SRData(_Value):
                 raise ValidationError("disc must be a (sign, element) pair", f"sr_discs[{j}]")
         self._set(double_tubes=tubes, sr_discs=tuple(tuple(d) for d in discs))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.double_tubes == other.double_tubes and self.sr_discs == other.sr_discs
-
-    def __hash__(self):
-        return hash((self.double_tubes, self.sr_discs))
-
     @property
     def is_empty(self) -> bool:
         return not self.double_tubes and not self.sr_discs

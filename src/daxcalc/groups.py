@@ -27,7 +27,7 @@ _MAX_NAME = 64  # the spelling table holds 31 copies of each name
 
 
 class _Value:
-    """Base of the immutable values: repr, == and hash read the fields named in _fields.
+    """Base of the immutable values: repr, ==, hash and match patterns read the fields named in _fields.
 
     A constructor checks its arguments, then sets each field once through _set;
     any later assignment or deletion raises AttributeError.  A value without
@@ -42,6 +42,7 @@ class _Value:
     def __init_subclass__(cls):
         # the constructor signatures are public and say "-> None"; the __future__ import would make that the string 'None'
         cls.__init__.__annotations__["return"] = None
+        cls.__match_args__ = cls._fields  # a positional pattern such as `case Factor(name, order)` binds the fields in order
 
     def _set(self, **fields) -> None:
         for name, value in fields.items():
@@ -112,14 +113,6 @@ class GroupSpec(_Value):
             # words._syllables' one lookup per spelling with 1 <= |exp| <= 16; the raw (unreduced) pair, _pairs' where it has one
             _spellings={f.name if e == 1 else f"{f.name}^{e}": pairs[i].get(e) or (i, e) for i, f in enumerate(factors) for e in range(-16, 17) if e},
         )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.factors == other.factors
-
-    def __hash__(self):
-        return hash(self.factors)
 
     @property
     def is_trivial(self) -> bool:

@@ -50,14 +50,6 @@ class RingElement(_Value):
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValidationError("terms must be strictly sorted in canonical order")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.terms == other.terms and (self.spec is other.spec or self.spec == other.spec)
-
-    def __hash__(self):
-        return hash(self.terms)
-
     @classmethod
     def _trusted(cls, spec: GroupSpec, keyed: Iterable[tuple[tuple, GroupElement, int]]) -> "RingElement":
         """Sort checked (key, element, coefficient) triples, keys distinct, and drop zeros; skips __post_init__."""

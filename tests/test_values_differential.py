@@ -9,7 +9,8 @@ their twins are, and equal values must hash alike.  The corpus is built
 twice from one seed, so each value meets an equal one built separately, and
 it holds equal words over different specs, ring values, discs, kernels,
 manifolds, verdicts and session documents.  Setting or deleting any
-attribute of any value raises AttributeError and leaves the value as it was.
+attribute of any value raises AttributeError and leaves the value as it was,
+and a positional class pattern binds the fields in the twin's order.
 """
 
 import random
@@ -190,3 +191,25 @@ def test_no_field_can_be_set_or_deleted(cls):
         with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
             delattr(value, name)
     assert repr(value) == before
+
+
+
+def bind_positionally(value):
+    """What a class pattern with one capture per match arg binds, in order."""
+    cls = type(value)
+    match len(cls.__match_args__), value:
+        case 0, cls():
+            return ()
+        case 1, cls(a):
+            return (a,)
+        case 2, cls(a, b):
+            return (a, b)
+        case 3, cls(a, b, c):
+            return (a, b, c)
+
+
+@pytest.mark.parametrize("cls", list(TWINS), ids=lambda cls: cls.__name__)
+def test_a_positional_pattern_binds_the_fields_as_the_twins_do(cls):
+    assert cls.__match_args__ == TWINS[cls].__match_args__
+    for value in [v for v in VALUES if type(v) is cls]:
+        assert bind_positionally(value) == tuple(getattr(value, f.name) for f in fields(TWINS[cls]))
