@@ -1,27 +1,28 @@
-"""Shared random generators and an exact lattice membership oracle.
+"""Shared random generators, the oracle's plain forms and three verbatim copies.
 
-The oracle decides whether a vector lies in the integer row span of a
-generator matrix without calling any kernel reduction code.  Independent
+The lattice oracle decides whether a vector lies in the integer row span of
+a generator matrix without calling any kernel reduction code.  Independent
 rows leave a unique rational solution, found by exact elimination; a
 dependency yields a primitive integer null vector u with some u[j] > 0,
 so any solution can be shifted until 0 <= c_j < u[j], and that coefficient
 is enumerated while the remaining rows recurse.  Both paths are exact, so
 the oracle is a sound and complete decision procedure for the small
 instances the tests generate.
+
+plain_* give daxcalc values in tests/oracle.py's form, through public
+attributes only.  The old tokenizer, token parser and decoder stay as
+verbatim copies: they are the only pins of parse and decode error positions
+and field paths.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 from daxcalc import (
-    ISOTOPIC,
-    NOT_ISOTOPIC,
-    UNKNOWN,
     DaxValue,
     ExplicitKernel,
     Factor,
@@ -33,16 +34,12 @@ from daxcalc import (
     SRData,
     TrivialKernel,
     ValidationError,
-    Verdict,
     canonical_key,
     instantiate,
-    normalize,
     parse_ringexpr,
     parse_word,
-    phi,
 )
 from daxcalc.documents import SessionDocument, manifold_from_json
-from daxcalc.forms import validate_or_raise
 
 FACTOR_NAMES = ("a", "b", "c")
 
@@ -272,253 +269,23 @@ def outcome(fn, *args):
     return "ok", str(result)
 
 
-# GroupElement.__invert__ from before it built the inverse directly: it sends
-# the reversed, negated syllables back through GroupSpec.element's merges.  Kept
-# verbatim (only the name changed, and the method is a function) as the
-# reference for the differential test.
-def reference_invert(g: GroupElement) -> GroupElement:
-    return g.spec.element((index, -exp) for index, exp in reversed(g.syllables))
+def plain_spec(spec: GroupSpec) -> tuple:
+    return tuple((f.name, f.order) for f in spec.factors)
 
 
-# The per-term `total = total + ...` versions of phi, dax_sum, the pairing sums
-# and the inverse-pairs fold, and the direct-construction monomial, from before
-# each ring value was summed in one dict and built once; kept verbatim (only the
-# names changed, and the inverse-pairs method is a function) as references for
-# the differential tests.  One rule changed since: the monomial's zero test
-# takes only an int 0, as monomial does since it drops only an int 0.
-def reference_monomial(g: GroupElement, coeff: int) -> RingElement:
-    """The single-term combination coeff*g; only an int 0 gives zero."""
-    if type(coeff) is int and coeff == 0:
-        return RingElement.zero(g.spec)
-    if g.is_identity:
-        raise ValidationError("monomial requires a nontrivial group element")
-    return RingElement(g.spec, ((g, coeff),))
+def plain_ring(x: RingElement) -> dict:
+    return {g.syllables: c for g, c in x.terms}
 
 
-def reference_dax_sum(g: GroupElement, sign: int) -> RingElement:
-    """The signed pair sign*(g + g^-1); for 2-torsion g this is sign*2g."""
-    if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign}")
-    if g.is_identity:
-        raise ValidationError("dax_sum is undefined on the identity element")
-    inv = ~g
-    if inv == g:
-        return reference_monomial(g, 2 * sign)
-    return reference_monomial(g, sign) + reference_monomial(inv, sign)
+def plain_data(data: SRData) -> tuple:
+    return tuple(t.syllables for t in data.double_tubes), tuple((sign, g.syllables) for sign, g in data.sr_discs)
 
 
-def reference_phi(data, manifold) -> RingElement:
-    """Invariant value of a presentation, reduced modulo the manifold kernel."""
-    validate_or_raise(data, manifold)
-    total = RingElement.zero(manifold.group)
-    for tube in data.double_tubes:
-        total = total + reference_monomial(tube, 1)
-    for sign, g in data.sr_discs:
-        total = total + reference_dax_sum(g, sign)
-    return manifold.kernel.reduce(total)
-
-
-# engine.compare and its _format_data from before phi(d1) - phi(d2) was summed
-# unreduced and reduced once: it reduces phi(d1), phi(d2) and their
-# difference, three reductions where one gives the same coset representative.
-# Kept verbatim (only the names changed) as the reference for the compare
-# differential.
-def reference_compare(d1: SRData, d2: SRData, manifold) -> Verdict:
-    """Decide (non-)isotopy of two presentations over the same manifold."""
-    validate_or_raise(d1, manifold)
-    validate_or_raise(d2, manifold)
-    if manifold.group.is_trivial:
-        return Verdict(ISOTOPIC, "pi1(M) = 1", "pi1-trivial")
-    n1 = normalize(d1, manifold)
-    n2 = normalize(d2, manifold)
-    if n1 == n2:
-        return Verdict(ISOTOPIC, _reference_format_data(n1), "equal-normal-form")
-    v1 = phi(d1, manifold)
-    v2 = phi(d2, manifold)
-    difference = manifold.kernel.reduce(v1 - v2)
-    if difference.is_zero:
-        return Verdict(UNKNOWN, str(v1), "phi-coincide")
-    return Verdict(NOT_ISOTOPIC, str(difference), "phi-difference")
-
-
-def _reference_format_data(data: SRData) -> str:
-    tubes = ", ".join(str(t) for t in data.double_tubes)
-    discs = ", ".join(f"{'+' if s > 0 else '-'}{g}" for s, g in data.sr_discs)
-    return f"tubes [{tubes}] discs [{discs}]"
-
-
-# name is the one change from the verbatim copy: spin_composition_value names a
-# bad entry after its own parameter, spins[i]
-def _reference_check_points(points, spec: GroupSpec, name: str = "points") -> None:
-    for i, (sign, loop) in enumerate(points):
-        if isinstance(sign, bool) or sign not in (1, -1):
-            raise ValidationError(f"{name}[{i}]: sign must be +1 or -1, got {sign}")
-        if loop.spec != spec:
-            raise ValidationError(f"{name}[{i}]: element is not over the given group spec")
-
-
-def reference_dax_value(points, spec: GroupSpec) -> DaxValue:
-    """Signed sum of the nontrivial loops; identity loops are dropped and counted."""
-    _reference_check_points(points, spec)
-    total = RingElement.zero(spec)
-    dropped = 0
-    for sign, loop in points:
-        if loop.is_identity:
-            dropped += 1
-        else:
-            total = total + reference_monomial(loop, sign)
-    return DaxValue(total, dropped)
-
-
-def reference_spin_composition_value(spins, spec: GroupSpec) -> RingElement:
-    _reference_check_points(spins, spec, "spins")
-    for i, (_, g) in enumerate(spins):
-        if g.is_identity:
-            raise ValidationError(f"spins[{i}]: spin element must be nontrivial")
-    total = RingElement.zero(spec)
-    for sign, g in spins:
-        total = total + reference_monomial(g, sign)
-    return total
-
-
-def reference_inverse_pairs_reduce(x: RingElement) -> RingElement:
-    folded: dict = {}
-    for g, c in x.items():
-        inv = ~g
-        rep = inv if canonical_key(inv) < canonical_key(g) else g
-        folded[rep] = folded.get(rep, 0) + c
-    return RingElement.from_mapping(x.spec, folded)
-
-
-# ExplicitKernel.reduce and hermite_normal_form from before the lattice basis
-# was taken over the generators' support alone: the basis here also spans x's
-# support, and the elimination rescans rows r.. on every round.  Kept verbatim
-# (only the names changed, and the method is a function of the generators) as
-# references for the differential tests.
-def reference_explicit_reduce(generators: tuple[RingElement, ...], x: RingElement) -> RingElement:
-    if not generators:
-        return x
-    # __post_init__ guarantees that all generators share one spec
-    if generators[0].spec != x.spec:
-        raise ValidationError("kernel generators use a different group spec")
-    support = {g for g, _ in x.items()}
-    for gen in generators:
-        support.update(gen.support())
-    basis = sorted(support, key=canonical_key)
-    index = {g: i for i, g in enumerate(basis)}
-    rows = []
-    for gen in generators:
-        row = [0] * len(basis)
-        for g, c in gen.items():
-            row[index[g]] = c
-        rows.append(row)
-    hnf, pivots = reference_hermite_normal_form(rows)
-    vec = [0] * len(basis)
-    for g, c in x.items():
-        vec[index[g]] = c
-    for ri, ci in pivots:
-        pivot = hnf[ri][ci]
-        q = vec[ci] // pivot
-        if q:
-            vec = [a - q * b for a, b in zip(vec, hnf[ri])]
-    return RingElement.from_mapping(
-        x.spec, {basis[i]: c for i, c in enumerate(vec) if c != 0}
-    )
-
-
-def reference_hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Row-style HNF over the integers.
-
-    Returns the reduced nonzero rows together with their (row, column) pivot
-    positions.  Pivots are positive, strictly ordered by column, entries above
-    a pivot lie in [0, pivot), and the rows span the same lattice as the input.
-    """
-    mat = [list(row) for row in rows]
-    n_cols = len(mat[0]) if mat else 0
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n_cols):
-        # Euclidean elimination below row r until at most one nonzero remains.
-        while True:
-            live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-            if len(live) <= 1:
-                break
-            i0 = min(live, key=lambda i: abs(mat[i][c]))
-            for i in live:
-                if i == i0:
-                    continue
-                q = mat[i][c] // mat[i0][c]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-        live = [i for i in range(r, len(mat)) if mat[i][c] != 0]
-        if not live:
-            continue
-        i0 = live[0]
-        mat[r], mat[i0] = mat[i0], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-    return mat[:r], pivots
-
-
-# forms.normalize with its second sort, and GroupSpec.element, GroupSpec._push
-# and GroupElement.__mul__, from before each step had one implementation (one
-# sort over the net counts, one syllable-merge loop); kept verbatim (only the
-# names changed, and the methods are functions) as references for the
-# differential tests.
-def reference_normalize(data: SRData, manifold) -> SRData:
-    """Apply tube merging, disc cancellation and canonical sorting to a fixed point."""
-    validate_or_raise(data, manifold)
-    tube_counts = Counter(data.double_tubes)
-    tubes = [t for t, count in tube_counts.items() if count % 2 == 1]
-    net = Counter({t: count // 2 for t, count in tube_counts.items()})
-    for sign, g in data.sr_discs:
-        net[g] += sign
-    discs: list[tuple[int, GroupElement]] = []
-    for g, total in net.items():
-        if total:
-            discs.extend([(1 if total > 0 else -1, g)] * abs(total))
-    tubes.sort(key=canonical_key)
-    discs.sort(key=lambda item: (canonical_key(item[1]), -item[0]))
-    return SRData(tuple(tubes), tuple(discs))
-
-
-def reference_element(spec: GroupSpec, syllables) -> GroupElement:
-    """Build the reduced word with the given syllables, merging as needed."""
-    stack: list[tuple[int, int]] = []
-    for ref, exp in syllables:
-        idx = ref if isinstance(ref, int) else spec.index_of(ref)
-        _reference_push(spec, stack, idx, exp)
-    return GroupElement(spec, tuple(stack))
-
-
-def _reference_push(spec: GroupSpec, stack: list[tuple[int, int]], index: int, exp: int) -> None:
-    if stack and stack[-1][0] == index:
-        exp += stack.pop()[1]
-    # the seed's GroupSpec._normalize_exponent, copied so that the reference
-    # does not share the exponent rule of the code it checks
-    if not 0 <= index < len(spec.factors):
-        raise ValidationError(f"factor index {index} out of range")
-    order = spec.factors[index].order
-    exp = exp % order if order is not None else exp
-    if exp != 0:
-        stack.append((index, exp))
-
-
-def reference_mul(self: GroupElement, other: GroupElement) -> GroupElement:
-    if not isinstance(other, GroupElement):
-        return NotImplemented
-    if other.spec != self.spec:
-        raise ValidationError("cannot multiply elements over different group specs")
-    stack = list(self.syllables)
-    for index, exp in other.syllables:
-        _reference_push(self.spec, stack, index, exp)
-    return GroupElement(self.spec, tuple(stack))
+def plain_kernel(kernel):
+    """The oracle's kernel: "inverse_pairs", or the generators' plain ring values, none for the trivial kernel."""
+    if isinstance(kernel, InversePairsKernel):
+        return "inverse_pairs"
+    return tuple(map(plain_ring, kernel.generators)) if isinstance(kernel, ExplicitKernel) else ()
 
 
 # The token parser of daxcalc.words from before well-formed text was read by

@@ -1,13 +1,12 @@
-"""compare against its three-reduction reference: a differential check.
+"""compare against tests/oracle.py: a differential check.
 
 compare sums phi(d1) - phi(d2) unreduced and reduces that once; it reduces
-phi(d1) a second time only for an UNKNOWN verdict's certificate.  The seed
-version, which reduced phi(d1), phi(d2) and their difference, is kept in
-helpers.py as reference_compare.  Each kernel's reduce returns a canonical
-coset representative, so both must return equal verdicts: outcome,
-certificate and rule.  The fixed-seed corpus runs over each kernel kind and
-plants pairs whose phi values agree, so that every kind reaches both phi
-rules:
+phi(d1) a second time only for an UNKNOWN verdict's certificate.  The oracle
+decides the verdict from the documented rules on plain tuples: normal forms,
+phi sums and each kernel's coset representative.  Both must give the same
+outcome, certificate and rule.  The fixed-seed corpus runs over each kernel
+kind and plants pairs whose phi values agree, so that every kind reaches
+both phi rules:
 - d1 against d1 with each disc loop g replaced by g^-1, since
   sign*(g + g^-1) does not change under the swap;
 - d1 against d1 plus the disc (+1, g), over an explicit kernel that has
@@ -21,7 +20,8 @@ import pytest
 
 from daxcalc import ExplicitKernel, InversePairsKernel, ManifoldModel, SRData, TrivialKernel, compare, dax_sum
 
-from helpers import random_nontrivial, random_ring_element, random_spec, random_srdata, reference_compare
+import oracle
+from helpers import plain_data, plain_kernel, plain_spec, random_nontrivial, random_ring_element, random_spec, random_srdata
 
 
 def _explicit_kernel(rng, spec, g):
@@ -59,6 +59,7 @@ def test_compare_matches_the_three_reduction_reference(kind):
         manifold = ManifoldModel(spec, KERNELS[kind](rng, spec, g))
         for d1, d2 in _pairs(rng, spec, g):
             verdict = compare(d1, d2, manifold)
-            assert verdict == reference_compare(d1, d2, manifold), (str(spec), d1, d2)
+            expected = oracle.compare(plain_spec(spec), plain_kernel(manifold.kernel), plain_data(d1), plain_data(d2))
+            assert (verdict.outcome, verdict.certificate, verdict.rule) == expected, (str(spec), d1, d2)
             rules[verdict.rule] += 1
     assert rules["phi-difference"] and rules["phi-coincide"] and rules["equal-normal-form"], rules

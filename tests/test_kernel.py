@@ -69,7 +69,7 @@ def test_explicit_kernel_validation():
     other = GroupSpec((Factor("t"),))
     with pytest.raises(ValidationError):
         ExplicitKernel((expr("t"), monomial(other.generator("t"), 1)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^kernel generators use a different group spec$"):
         ExplicitKernel((expr("t"),)).reduce(monomial(other.generator("t"), 1))
 
 

@@ -1,11 +1,11 @@
 """Differential tests: the one-loop word merge and the one-sort normalize
-agree with their two-copy predecessors kept in helpers, and every word the
-merge builds without the constructor's checks passes those checks.
+agree with tests/oracle.py, and every word the merge builds without the
+constructor's checks passes those checks.
 
-Each case compares the results, or the error class and message, on a
-fixed-seed corpus that includes cascading cancellations, unknown factor
-names and out-of-range indices, 2-torsion tube pairs, opposite-sign
-duplicate discs, elements over foreign specs and bad signs.
+Each case runs on a fixed-seed corpus with cascading cancellations,
+2-torsion tube pairs and opposite-sign duplicate discs; the oracle decides
+each value.  Each fault it plants (an unknown name, an out-of-range index,
+a foreign spec, a non-element operand, a bad sign) must raise its error.
 
 The merge takes each syllable with |exponent| <= 16 from one table per spec,
 so every path that reaches it (parse_word, parse_ringexpr terms,
@@ -18,7 +18,7 @@ copied or unpickled spec builds equal, still shared words.
 The parsers read a syllable spelled as str() prints it ("t", "t^-16") with one
 lookup in a second fixed table per spec, and any other spelling ("t^1",
 "t^+1", "t^01", "t^-0", "t^17") with a split at "^".  A fixed-seed
-differential against the reference parsers in helpers covers spellings on
+differential against the token parser kept in helpers covers spellings on
 both sides of the table's edges, over finite factors whose raw exponents
 wrap.  The table itself is checked through its private attributes: 32
 entries per factor, whatever is decoded, and each value the very pair the
@@ -35,26 +35,25 @@ from daxcalc import (
     GroupElement,
     GroupSpec,
     ManifoldModel,
-    RingElement,
     SRData,
     TrivialKernel,
+    ValidationError,
     canonical_key,
     normalize,
     parse_ringexpr,
     parse_word,
 )
 
+import oracle
 from helpers import (
+    plain_data,
+    plain_spec,
     random_element,
     random_kernel,
     random_nontrivial,
     random_spec,
     random_srdata,
     random_two_torsion,
-    reference_element,
-    reference_invert,
-    reference_mul,
-    reference_normalize,
     reference_parse_ringexpr,
     reference_parse_word,
 )
@@ -64,35 +63,45 @@ FOREIGN = GroupSpec((Factor("z", 2),))
 
 
 def outcome(fn, *args):
-    """Not helpers.outcome: the unchecked merge may raise only a DaxError, and values, not str(), must be equal."""
+    """Not helpers.outcome: the unchecked merge may raise only a DaxError, and values (elements as syllables) must be equal."""
     try:
-        return "value", fn(*args)
+        value = fn(*args)
     except DaxError as exc:
         return type(exc), str(exc)
+    return "value", value.syllables if isinstance(value, GroupElement) else value
 
 
-def random_syllables(rng: random.Random, spec: GroupSpec) -> list:
-    syllables = []
+def random_syllables(rng: random.Random, spec: GroupSpec) -> tuple[list, str | None]:
+    """(name or index, exponent) syllables, and the message of the first fault planted among them or None."""
+    syllables, faults = [], []
     for _ in range(rng.randint(0, 8)):
         roll = rng.random()
         if roll < 0.03:
             ref = len(spec.factors)  # out of range
+            faults.append(f"factor index {ref} out of range")
         elif roll < 0.06:
             ref = "z"  # unknown name
+            faults.append("unknown factor name 'z'")
         elif roll < 0.4:
             ref = rng.choice(spec.factors).name
         else:
             ref = rng.randrange(len(spec.factors))
         syllables.append((ref, rng.randint(-5, 5)))
-    return syllables
+    return syllables, (faults or [None])[0]
 
 
 def test_element_matches_the_reference():
     rng = random.Random(701)
     for _ in range(CASES):
         spec = random_spec(rng)
-        syllables = random_syllables(rng, spec)
-        assert outcome(spec.element, syllables) == outcome(reference_element, spec, syllables), syllables
+        syllables, fault = random_syllables(rng, spec)
+        if fault:
+            expected = ValidationError, fault
+        else:
+            names = [f.name for f in spec.factors]
+            indexed = [(names.index(ref) if ref in names else ref, exp) for ref, exp in syllables]
+            expected = "value", oracle.reduce_word(plain_spec(spec), indexed)
+        assert outcome(spec.element, syllables) == expected, syllables
 
 
 def test_mul_matches_the_reference():
@@ -109,7 +118,13 @@ def test_mul_matches_the_reference():
             # cancel a random tail of a, so merges cascade into the stack
             tail = GroupElement(spec, a.syllables[rng.randint(0, len(a.syllables)):])
             b = ~tail * random_element(rng, spec)
-        assert outcome(a.__mul__, b) == outcome(reference_mul, a, b), (a, b)
+        if roll < 0.05:
+            expected = "value", NotImplemented
+        elif plain_spec(b.spec) != plain_spec(spec):
+            expected = ValidationError, "cannot multiply elements over different group specs"
+        else:
+            expected = "value", oracle.product(plain_spec(spec), a.syllables, b.syllables)
+        assert outcome(a.__mul__, b) == expected, (a, b)
 
 
 def finite_spec(rng: random.Random) -> GroupSpec:
@@ -134,14 +149,17 @@ def test_trusted_merge_output_passes_the_checking_constructor():
         spec = finite_spec(rng)
         syllables = [(rng.randrange(len(spec.factors)), rng.randint(-9, 9)) for _ in range(rng.randint(0, 10))]
         g = spec.element(syllables)
-        assert checked(spec, g) == g == reference_element(spec, syllables), syllables
+        plain = plain_spec(spec)
+        assert checked(spec, g) == g and g.syllables == oracle.reduce_word(plain, syllables), syllables
         h = random_element(rng, spec, max_syllables=6)
         for result in (g * h, h * g, ~g, g * ~g, g ** rng.randint(-3, 3)):
             assert checked(spec, result) == result, (g, h)
-        assert (g * ~g).is_identity and ~g == reference_invert(g) and g * h == reference_mul(g, h)
+        assert (g * ~g).is_identity and (~g).syllables == oracle.inverse(plain, g.syllables)
+        assert (g * h).syllables == oracle.product(plain, g.syllables, h.syllables)
 
 
-def random_hostile_srdata(rng: random.Random, spec: GroupSpec) -> SRData:
+def random_hostile_srdata(rng: random.Random, spec: GroupSpec) -> tuple[SRData, str | None]:
+    """Disc data with repeats and cancelling pairs, and validate's problem with the fault it plants, or None."""
     data = random_srdata(rng, spec, max_discs=6)
     tubes = list(data.double_tubes)
     discs = list(data.sr_discs)
@@ -157,19 +175,26 @@ def random_hostile_srdata(rng: random.Random, spec: GroupSpec) -> SRData:
     for tube in tubes[:2]:
         if rng.random() < 0.3:
             discs.append((rng.choice((1, -1)), tube))
+    planted = problem = None  # the one faulty entry, found by identity after the shuffle
     roll = rng.random()
-    if roll < 0.04:
-        discs.append((1, FOREIGN.generator("z")))
-    elif roll < 0.08:
-        tubes.append(FOREIGN.generator("z"))
+    if roll < 0.08:
+        planted, problem = FOREIGN.generator("z"), "element is not over the manifold group"
+        planted = (1, planted) if roll < 0.04 else planted
+        (discs if roll < 0.04 else tubes).append(planted)
     elif roll < 0.12 and discs:
         j = rng.randrange(len(discs))
-        discs[j] = (rng.choice((0, 2, True, 1.0, -1.0)), discs[j][1])
+        planted = discs[j] = (rng.choice((0, 2, True, 1.0, -1.0)), discs[j][1])
+        problem = f"sign must be +1 or -1, got {planted[0]}"
     elif roll < 0.14:
-        tubes.append(random_nontrivial(rng, spec))  # usually not 2-torsion
+        planted = random_nontrivial(rng, spec)  # usually not 2-torsion
+        tubes.append(planted)
+        if oracle.product(plain_spec(spec), planted.syllables, planted.syllables):
+            problem = "element is not 2-torsion"
     rng.shuffle(tubes)
     rng.shuffle(discs)
-    return SRData(tuple(tubes), tuple(discs))
+    where = [f"double_tubes[{i}]" for i, t in enumerate(tubes) if t is planted]
+    where += [f"sr_discs[{j}]" for j, d in enumerate(discs) if d is planted]
+    return SRData(tuple(tubes), tuple(discs)), problem and f"{where[0]}: {problem}"
 
 
 def test_normalize_matches_the_reference():
@@ -178,8 +203,12 @@ def test_normalize_matches_the_reference():
         spec = random_spec(rng)
         kernel = random_kernel(rng, spec) if rng.random() < 0.5 else TrivialKernel()
         manifold = ManifoldModel(spec, kernel)
-        data = random_hostile_srdata(rng, spec)
-        assert outcome(normalize, data, manifold) == outcome(reference_normalize, data, manifold), data
+        data, problem = random_hostile_srdata(rng, spec)
+        got = outcome(normalize, data, manifold)
+        if problem:
+            assert got == (ValidationError, f"invalid disc data: {problem}"), data
+        else:
+            assert got[0] == "value" and plain_data(got[1]) == oracle.normal_form(*plain_data(data)), data
 
 
 def wide_spec(rng: random.Random) -> GroupSpec:
@@ -203,62 +232,49 @@ def spelled(spec: GroupSpec, syllables) -> str:
     return " * ".join(names) or "1"
 
 
-def reference_inverse(g: GroupElement) -> GroupElement:
-    return reference_element(g.spec, [(index, -exp) for index, exp in reversed(g.syllables)])
-
-
-def reference_power(g: GroupElement, n: int) -> GroupElement:
-    base = reference_inverse(g) if n < 0 else g
-    result = reference_element(g.spec, [])
-    for _ in range(abs(n)):
-        result = reference_mul(result, base)
-    return result
-
-
-def assert_same(g: GroupElement, ref: GroupElement) -> None:
-    assert g == ref and g.syllables == ref.syllables, (g, ref)
-    assert hash(g) == hash(ref) and str(g) == str(ref) and canonical_key(g) == canonical_key(ref), (g, ref)
+def assert_same(g: GroupElement, word: tuple) -> None:
+    """g holds word, equals and hashes as the checking constructor's element, and prints and sorts as the oracle says."""
+    ref = GroupElement(g.spec, word)
+    assert g == ref and g.syllables == word and hash(g) == hash(ref), (g, word)
+    assert str(g) == oracle.word_text(plain_spec(g.spec), word) and canonical_key(g) == oracle.key(word), (g, word)
 
 
 def test_every_merge_path_matches_the_reference_inside_and_outside_the_shared_range():
     rng = random.Random(705)
     for _ in range(1500):
         spec = wide_spec(rng)
+        plain = plain_spec(spec)
         syllables = wide_syllables(rng, spec)
-        ref = reference_element(spec, syllables)
+        word = oracle.reduce_word(plain, syllables)
         named = [(spec.factors[i].name, exp) if rng.random() < 0.5 else (i, exp) for i, exp in syllables]
         for g in (parse_word(spelled(spec, syllables), spec), spec.element(syllables), spec.element(named)):
-            assert_same(g, ref)
+            assert_same(g, word)
         other_syllables = wide_syllables(rng, spec)
         h = spec.element(other_syllables)
-        ref_h = reference_element(spec, other_syllables)
-        assert_same(spec.element(syllables) * h, reference_mul(ref, ref_h))
-        assert_same(h * ~h, reference_element(spec, []))
-        assert_same(~spec.element(syllables), reference_inverse(ref))
+        assert_same(spec.element(syllables) * h, oracle.product(plain, word, oracle.reduce_word(plain, other_syllables)))
+        assert_same(h * ~h, ())
+        assert_same(~spec.element(syllables), oracle.inverse(plain, word))
         n = rng.randint(-4, 4)
-        assert_same(spec.element(syllables) ** n, reference_power(ref, n))
+        base = word if n >= 0 else oracle.inverse(plain, word)
+        assert_same(spec.element(syllables) ** n, oracle.reduce_word(plain, base * abs(n)))
 
 
 def test_ring_expression_terms_match_the_reference():
     rng = random.Random(706)
     for _ in range(800):
         spec = wide_spec(rng)
+        plain = plain_spec(spec)
         terms, count = [], rng.randint(1, 5)
         while len(terms) < count:
             syllables = wide_syllables(rng, spec)
-            if not reference_element(spec, syllables).is_identity:
+            if oracle.reduce_word(plain, syllables):
                 terms.append((rng.choice((1, -1)), rng.randint(1, 3), syllables))
         text = " ".join(f"{'-' if sign < 0 else '+'} {coeff}*{spelled(spec, syl)}" for sign, coeff, syl in terms)
-        combined: dict = {}
-        for sign, coeff, syllables in terms:
-            g = reference_element(spec, syllables)
-            combined[g] = combined.get(g, 0) + sign * coeff
-        ref = RingElement.from_mapping(spec, combined)
+        combined, _ = oracle.point_sum([(sign * coeff, oracle.reduce_word(plain, syl)) for sign, coeff, syl in terms])
         x = parse_ringexpr(text.removeprefix("+ "), spec)
-        assert x == ref and len(x.terms) == len(ref.terms), text
-        for (g, c), (ref_g, ref_c) in zip(x.terms, ref.terms):
-            assert_same(g, ref_g)
-            assert c == ref_c
+        assert [c for _, c in x.terms] == [c for _, c in oracle.terms(combined)], text
+        for (g, _), (word, _) in zip(x.terms, oracle.terms(combined)):
+            assert_same(g, word)
 
 
 SHARED = GroupSpec((Factor("t"), Factor("a", 2), Factor("b", 40)))
@@ -309,10 +325,12 @@ def test_a_copied_or_unpickled_spec_builds_equal_shared_words():
     for copied in (copy.deepcopy(SHARED), pickle.loads(pickle.dumps(SHARED))):
         assert copied == SHARED and hash(copied) == hash(SHARED) and str(copied) == str(SHARED)
         for syllables in corpus:
-            g = copied.element(syllables)
-            assert_same(g, SHARED.element(syllables))
-            assert_same(parse_word(spelled(copied, syllables), copied), g)
-            assert_same(g * SHARED.element(syllables), reference_mul(g, g))
+            g, shared = copied.element(syllables), SHARED.element(syllables)
+            word = oracle.reduce_word(plain_spec(SHARED), syllables)
+            assert_same(g, word)
+            assert g == shared and hash(g) == hash(shared)
+            assert_same(parse_word(spelled(copied, syllables), copied), word)
+            assert_same(g * shared, oracle.product(plain_spec(SHARED), word, word))
         assert parse_word("t^3", copied).syllables[0] is parse_word("a*t^3", copied).syllables[1]
         assert pickle.loads(pickle.dumps(parse_word("t^3*b^9", SHARED))) == parse_word("t^3*b^9", copied)
         assert copied._spellings == SHARED._spellings
@@ -334,17 +352,17 @@ def test_parsers_match_the_reference_at_the_spelling_table_edges():
     rng = random.Random(708)
     for _ in range(CASES):
         word = edge_word(rng)
-        got, ref = outcome(parse_word, word, EDGES), outcome(reference_parse_word, word, EDGES)
-        assert got == ref, word
+        got = outcome(parse_word, word, EDGES)
+        assert got == outcome(reference_parse_word, word, EDGES), word
         if got[0] == "value":
-            assert_same(got[1], ref[1])
+            assert_same(parse_word(word, EDGES), got[1])
         terms = [f"{rng.choice(('+', '-'))} {rng.choice(('', '1*', '3*'))}{edge_word(rng)}" for _ in range(rng.randint(1, 4))]
         text = " ".join(terms).removeprefix("+ ")
         got, ref = outcome(parse_ringexpr, text, EDGES), outcome(reference_parse_ringexpr, text, EDGES)
         assert got == ref, text
         if got[0] == "value":  # equal elements: same terms and coefficients
             for (g, _), (ref_g, _) in zip(got[1].terms, ref[1].terms):
-                assert_same(g, ref_g)
+                assert_same(g, ref_g.syllables)
 
 
 def assert_spellings_share_pairs(spec: GroupSpec) -> None:

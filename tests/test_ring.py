@@ -106,7 +106,7 @@ def test_dax_sum_two_torsion():
 
 
 def test_dax_sum_errors():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^dax_sum is undefined on the identity element$"):
         dax_sum(SPEC.identity(), 1)
     with pytest.raises(ValidationError):
         dax_sum(T, 2)
