@@ -1,4 +1,4 @@
-"""Shared random generators, the oracle's plain forms and three verbatim copies.
+"""Shared random generators, the oracle's plain forms and the old word parsers.
 
 The lattice oracle decides whether a vector lies in the integer row span of
 a generator matrix without calling any kernel reduction code.  Independent
@@ -10,15 +10,17 @@ the oracle is a sound and complete decision procedure for the small
 instances the tests generate.
 
 plain_* give daxcalc values in tests/oracle.py's form, through public
-attributes only.  The old tokenizer, token parser and decoder stay as
-verbatim copies: they are the only pins of parse and decode error positions
-and field paths.
+attributes only.  reference_parse_word and reference_parse_ringexpr are the
+parsers' reference for values, error messages and positions: the token
+parser daxcalc.words had before its regular-expression parsers, reading the
+tokens of the hand-written tokenizer it had before its regex scanner.
+Neither holds a pattern or shares code with daxcalc.words.
 """
 
 from __future__ import annotations
 
 import random
-import re
+import string
 from fractions import Fraction
 from math import gcd
 
@@ -35,11 +37,7 @@ from daxcalc import (
     TrivialKernel,
     ValidationError,
     canonical_key,
-    instantiate,
-    parse_ringexpr,
-    parse_word,
 )
-from daxcalc.documents import SessionDocument, manifold_from_json
 
 FACTOR_NAMES = ("a", "b", "c")
 
@@ -200,41 +198,48 @@ def lattice_member(rows: list[list[int]], target: list[int]) -> bool:
     return False
 
 
-# The hand-written tokenizer of daxcalc.words before it became one regex
-# scanner, kept verbatim as the reference for the differential tests.
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
+# The hand-written tokenizer of daxcalc.words from before it became one regex
+# scanner, with each run read by str.lstrip and the digit-limit error added.
+_NAME_CHARS = string.ascii_letters + string.digits + "_"
+_ReferenceToken = tuple[str, object, int]  # (kind, value, position)
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch == "_" or _is_digit(ch) or ("a" <= ch <= "z") or ("A" <= ch <= "Z")
+def _run_length(text: str, i: int, chars: str | None = None) -> int:
+    """The length of the run of chars, or of whitespace, at text[i]; read in 64-character windows, not text[i:]."""
+    window = text[i : i + 64]
+    n = len(window) - len(window.lstrip(chars))
+    return n if n < 64 else n + _run_length(text, i + 64, chars)
 
 
-def reference_tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
+def reference_tokenize(text: str) -> list[_ReferenceToken]:
+    tokens: list[_ReferenceToken] = []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
-            i += 1
+            i += _run_length(text, i)
         elif ch in "*+-^":
             tokens.append((ch, ch, i))
             i += 1
-        elif _is_digit(ch):
-            j = i
-            while j < len(text) and _is_digit(text[j]):
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-        elif _is_name_char(ch):
-            j = i
-            while j < len(text) and _is_name_char(text[j]):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
+        elif ch in string.digits:
+            n = _run_length(text, i, string.digits)
+            try:
+                tokens.append(("int", int(text[i : i + n]), i))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {n} digits is too long", i) from None
+            i += n
+        elif ch in _NAME_CHARS:
+            n = _run_length(text, i, _NAME_CHARS)
+            tokens.append(("name", text[i : i + n], i))
+            i += n
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
     return tokens
+
+
+def reference_scan(text: str) -> list[_ReferenceToken]:
+    """reference_tokenize's tokens, then ("end", None, end of the last token or 0)."""
+    return reference_tokenize(text) + [("end", None, len(text.rstrip()))]
 
 
 # names, "_", ASCII digits, operators, ASCII and Unicode whitespace
@@ -289,38 +294,13 @@ def plain_kernel(kernel):
 
 
 # The token parser of daxcalc.words from before well-formed text was read by
-# regular expressions alone: a scanner that makes one token per match, and a
-# parser that walks the tokens and builds the syllables.  Kept verbatim (only
-# the names changed) as the reference for the scanner differential tests.
+# regular expressions alone: it walks reference_scan's tokens and builds the
+# syllables.  Kept verbatim (only the names changed) as the reference for the
+# scanner differential tests.
 _REFERENCE_IDENTITY_TERM = (
     "the identity word '1' is not a valid term: values live in the "
     "group ring with the identity removed"
 )
-
-_ReferenceToken = tuple[str, object, int]  # (kind, value, position)
-
-# ASCII classes on purpose: \d would accept non-ASCII digits.  A whitespace run is
-# its own match; as a \s* prefix of each token it would take quadratic time.
-_REFERENCE_TOKEN = re.compile(r"\s+|(?P<op>[-*+^])|(?P<int>[0-9]+)|(?P<name>[A-Za-z0-9_]+)|(?P<bad>.)", re.S)
-
-
-def reference_scan(text: str) -> list[_ReferenceToken]:
-    """(kind, value, position) tokens, then ("end", None, end of the last token or 0)."""
-    tokens: list[_ReferenceToken] = []
-    for match in _REFERENCE_TOKEN.finditer(text):
-        kind, value, pos = match.lastgroup, match.group(), match.start()
-        if kind is None:
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", pos)
-        if kind == "int":
-            try:
-                value = int(value)
-            except ValueError:
-                raise ParseError(f"integer literal of {len(value)} digits is too long", pos) from None
-        tokens.append((value if kind == "op" else kind, value, pos))
-    tokens.append(("end", None, len(text.rstrip())))
-    return tokens
 
 
 def _reference_parse_syllables(tokens: list[_ReferenceToken], i: int, spec: GroupSpec) -> tuple[list[tuple[int, int]], int]:
@@ -399,105 +379,3 @@ def reference_parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
         sign = -1 if tokens[i][0] == "-" else 1
         i += 1
     return RingElement.from_mapping(spec, combined)
-
-
-# documents.session_from_json and the decoders under it from before each
-# distinct word text was parsed once per document: every field calls
-# parse_word, and no two fields share an element.  Kept verbatim (only the
-# names changed) as the reference for the decode differential, with one other
-# change: the sign check is spelled out, since helpers read no private name.
-_REFERENCE_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
-
-
-def _reference_expect(value, kind: type, path: str):
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(f"expected {_REFERENCE_TYPE_NAMES[kind]}, got {type(value).__name__}", path)
-    return value
-
-
-def _reference_object(value, path: str, required: set, optional: set = frozenset()) -> dict:
-    """An object with every required key and no key outside required and optional."""
-    data = _reference_expect(value, dict, path)
-    missing = required - data.keys()
-    if missing:  # the smallest, so the message does not depend on hash order
-        raise ValidationError(f"missing required key {min(missing)!r}", path)
-    for key in data:
-        if key not in required and key not in optional:
-            raise ValidationError(f"unknown key {key!r}", path)
-    return data
-
-
-def _reference_at(path: str, build, *args):
-    """build(*args), its ParseError or ValidationError re-raised under path; an error's own path goes below path."""
-    try:
-        return build(*args)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc.message}", exc.position) from None
-    except ValidationError as exc:
-        raise ValidationError(exc.message, path if exc.path is None else f"{path}.{exc.path}") from None
-
-
-def _reference_list(value, path: str, decode, *args) -> tuple:
-    """A list field, each entry decoded by decode(entry, *args, f"{path}[{i}]")."""
-    return tuple(decode(entry, *args, f"{path}[{i}]") for i, entry in enumerate(_reference_expect(value, list, path)))
-
-
-def _reference_field(value, parse, spec: GroupSpec, path: str):
-    """A string field parsed by parse_word or parse_ringexpr, errors prefixed by path."""
-    return _reference_at(path, parse, _reference_expect(value, str, path), spec)
-
-
-def _reference_signed_word(value, spec: GroupSpec, path: str) -> tuple[int, GroupElement]:
-    """An object {"sign": 1 or -1, "word": WORD} in sr_discs or a point list; evaluation drops identity loops."""
-    data = _reference_object(value, path, {"sign", "word"})
-    sign = _reference_expect(data["sign"], int, f"{path}.sign")
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign}", f"{path}.sign")
-    return sign, _reference_field(data["word"], parse_word, spec, f"{path}.word")
-
-
-def reference_disc_from_json(obj, spec: GroupSpec, path: str = "disc") -> SRData:
-    data = _reference_object(obj, path, set(), {"double_tubes", "sr_discs"})
-    tubes = _reference_list(data.get("double_tubes", []), f"{path}.double_tubes", _reference_field, parse_word, spec)
-    discs = _reference_list(data.get("sr_discs", []), f"{path}.sr_discs", _reference_signed_word, spec)
-    return SRData(tubes, discs)
-
-
-def _reference_query_from_json(obj, declared: dict, spec: GroupSpec, path: str):
-    data = _reference_expect(obj, dict, path)
-    kind = _reference_expect(data.get("kind"), str, f"{path}.kind")
-
-    def disc_name(value, dpath: str) -> str:
-        name = _reference_expect(value, str, dpath)
-        if name not in declared:
-            raise ValidationError(f"undeclared disc {name!r}", dpath)
-        return name
-
-    if kind in ("invariant", "normalize"):
-        _reference_object(data, path, {"kind", "disc"})
-        return kind, disc_name(data["disc"], f"{path}.disc")
-    if kind == "compare":
-        _reference_object(data, path, {"kind", "discs"})
-        if len(_reference_expect(data["discs"], list, f"{path}.discs")) != 2:
-            raise ValidationError("compare takes exactly two disc names", f"{path}.discs")
-        return kind, _reference_list(data["discs"], f"{path}.discs", disc_name)
-    if kind == "reduce":
-        _reference_object(data, path, {"kind", "element"})
-        return kind, _reference_field(data["element"], parse_ringexpr, spec, f"{path}.element")
-    if kind == "pairing":
-        _reference_object(data, path, {"kind", "points"})
-        return kind, _reference_list(data["points"], f"{path}.points", _reference_signed_word, spec)
-    raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
-
-
-def reference_session_from_json(obj, path: str = "session") -> SessionDocument:
-    data = _reference_object(obj, path, {"manifold"}, {"discs", "queries"})
-    if isinstance(data["manifold"], str):
-        manifold = _reference_at(f"{path}.manifold", instantiate, data["manifold"])
-    else:
-        manifold = manifold_from_json(data["manifold"], f"{path}.manifold")
-    discs: dict[str, SRData] = {}
-    for name, entry in _reference_expect(data.get("discs", {}), dict, f"{path}.discs").items():
-        discs[name] = reference_disc_from_json(entry, manifold.group, f"{path}.discs.{name}")
-    queries = _reference_list(data.get("queries", []), f"{path}.queries", _reference_query_from_json, discs, manifold.group)
-    return SessionDocument(manifold, discs, queries)

@@ -1,17 +1,21 @@
-"""session_from_json against its parse-every-field reference: a differential check.
+"""session_from_json shares nothing it should not: a metamorphic check.
 
 session_from_json parses each distinct word text once per document and shares
-the element among every field that spells it.  The version that parsed every
-field on its own is kept in helpers.py as reference_session_from_json.  On a
+the element among every field that spells it.  Sharing must change nothing,
+so each session is also decoded as a copy in which no two word fields can
+share: the n-th word field's text loses its trailing whitespace and gains
+n + 1 spaces, which changes no value, message or error position.  On a
 fixed-seed corpus of sessions that repeat a few words many times across
 double tubes, sr_discs and pairing points, in several spellings of one value
 ("t*t", "t^2", " t ^ 2 "), both decodes must give equal documents, and
 executing them must give the same text lines and the same --json records.
 Broken sessions must fail with the same error class, message and path: a bad
 word after many good repeats, a non-string word among repeats, and one bad
-text in two fields, which must name the first.
+text in two fields, which must name the first.  The messages and paths
+themselves are pinned by test_documents.py's ITEM_ERRORS.
 """
 
+import copy
 import json
 import random
 
@@ -26,7 +30,6 @@ from helpers import (
     random_nontrivial,
     random_spec,
     random_two_torsion,
-    reference_session_from_json,
 )
 
 
@@ -104,15 +107,28 @@ def random_session(rng):
 
 
 def _word_fields(session):
-    """(container, key) of every word field in session, in decode order."""
+    """(container, key) of every word field in session, in decode order; absent keys and non-object entries have none."""
     fields = []
-    for disc in session["discs"].values():
-        fields += [(disc["double_tubes"], i) for i in range(len(disc["double_tubes"]))]
-        fields += [(entry, "word") for entry in disc["sr_discs"]]
-    for query in session["queries"]:
-        if query["kind"] == "pairing":
-            fields += [(point, "word") for point in query["points"]]
+    for disc in session.get("discs", {}).values():
+        tubes = disc.get("double_tubes", [])
+        fields += [(tubes, i) for i in range(len(tubes))]
+        fields += [(entry, "word") for entry in disc.get("sr_discs", []) if isinstance(entry, dict) and "word" in entry]
+    for query in session.get("queries", []):
+        if query.get("kind") == "pairing":
+            fields += [(point, "word") for point in query["points"] if isinstance(point, dict) and "word" in point]
     return fields
+
+
+def unshared_session_from_json(session):
+    """session_from_json on a copy of session whose word texts are pairwise distinct, so no field can share."""
+    session = copy.deepcopy(session)
+    texts = []
+    for n, (container, key) in enumerate(_word_fields(session)):
+        if isinstance(container[key], str):
+            container[key] = container[key].rstrip() + " " * (n + 1)
+            texts.append(container[key])
+    assert len(set(texts)) == len(texts), texts
+    return session_from_json(session)
 
 
 def _error(decode, session):
@@ -136,9 +152,9 @@ def test_decode_matches_the_per_field_reference():
     repeats = 0
     for _ in range(150):
         session = random_session(rng)
-        doc = session_from_json(session)
-        assert doc == reference_session_from_json(session), session
-        assert _run(doc) == _run(reference_session_from_json(session)), session
+        doc, unshared = session_from_json(session), unshared_session_from_json(session)
+        assert doc == unshared, session
+        assert _run(doc) == _run(unshared), session
         texts = [container[key] for container, key in _word_fields(session)]
         repeats += len(texts) - len(set(texts))
     assert repeats > 1000, repeats
@@ -151,10 +167,10 @@ def test_equal_values_in_different_spellings_decode_alike():
         "discs": {"d1": {"sr_discs": [{"sign": 1, "word": w} for w in spellings]}, "d2": {"sr_discs": []}},
         "queries": [{"kind": "normalize", "disc": "d1"}, {"kind": "pairing", "points": [{"sign": -1, "word": w} for w in spellings]}],
     }
-    doc = session_from_json(session)
-    assert doc == reference_session_from_json(session)
+    doc, unshared = session_from_json(session), unshared_session_from_json(session)
+    assert doc == unshared
     assert len({g for _, g in doc.discs["d1"].sr_discs}) == 1
-    assert _run(doc) == _run(reference_session_from_json(session))
+    assert _run(doc) == _run(unshared)
 
 
 def _repeats(word, n):
@@ -188,7 +204,7 @@ FAULTS = {
 
 @pytest.mark.parametrize("name", sorted(FAULTS))
 def test_a_fault_raises_as_the_reference_does(name):
-    assert _error(session_from_json, FAULTS[name]) == _error(reference_session_from_json, FAULTS[name])
+    assert _error(session_from_json, FAULTS[name]) == _error(unshared_session_from_json, FAULTS[name])
 
 
 def test_a_bad_text_in_two_fields_names_the_first():
@@ -210,6 +226,6 @@ def test_corrupted_sessions_raise_as_the_reference_does():
         bad = rng.choice(BAD_WORDS)
         for container, key in rng.sample(fields, min(len(fields), rng.choice((1, 2)))):
             container[key] = bad
-        assert _error(session_from_json, session) == _error(reference_session_from_json, session), session
+        assert _error(session_from_json, session) == _error(unshared_session_from_json, session), session
         checked += 1
     assert checked > 80, checked

@@ -264,6 +264,9 @@ ITEM_ERRORS = [
                  {"manifold": "connect_sum", "discs": {"d": {"sr_discs": [SIGNED_T, {"sign": 3, "word": "t"}]}}},
                  ValidationError, "session.discs.d.sr_discs[1].sign: sign must be +1 or -1, got 3",
                  "session.discs.d.sr_discs[1].sign", id="session.discs.d.sr_discs[1].sign"),
+    pytest.param(session_from_json, {"manifold": "connect_sum", "discs": {"d": {"double_tubes": ["t", 5]}}},
+                 ValidationError, "session.discs.d.double_tubes[1]: expected a string, got int",
+                 "session.discs.d.double_tubes[1]", id="session.discs.d.double_tubes[1]-not-str"),
     pytest.param(session_from_json, _session({"kind": "invariant", "disc": "d"}, 5), ValidationError,
                  "session.queries[1]: expected an object, got int", "session.queries[1]", id="session.queries[1]"),
     pytest.param(session_from_json, _session({"kind": "slice"}), ValidationError,
@@ -278,6 +281,9 @@ ITEM_ERRORS = [
     pytest.param(session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, 5]}), ValidationError,
                  "session.queries[0].points[1]: expected an object, got int", "session.queries[0].points[1]",
                  id="session.queries[0].points[1]"),
+    pytest.param(session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, {"sign": 1, "word": "t * 3"}]}),
+                 ParseError, "session.queries[0].points[1].word: expected a factor name (at position 4)", 4,
+                 id="session.queries[0].points[1].word"),
     pytest.param(session_from_json, _session({"kind": "compare", "discs": ["d", "e"]}), ValidationError,
                  "session.queries[0].discs[1]: undeclared disc 'e'", "session.queries[0].discs[1]",
                  id="session.queries[0].discs[1]"),

@@ -58,8 +58,11 @@ def test_validate_rejects_float_sign():
         "sr_discs[1]: sign must be +1 or -1, got 1.0",
     ]
     for evaluate in (phi, normalize):
-        with pytest.raises(ValidationError, match="got 1.0"):
+        with pytest.raises(ValidationError) as excinfo:
             evaluate(data, M)
+        assert str(excinfo.value) == (
+            "invalid disc data: sr_discs[0]: sign must be +1 or -1, got 1.0; sr_discs[1]: sign must be +1 or -1, got 1.0"
+        )
 
 
 def test_validate_rejects_a_tube_that_is_not_an_element():

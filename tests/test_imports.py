@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "daxcalc"
 MODULES = sorted(PACKAGE.glob("*.py"))
 ORACLE = ROOT / "tests" / "oracle.py"
+HELPERS = ROOT / "tests" / "helpers.py"
 
 
 def imports(tree: ast.Module):
@@ -77,7 +78,7 @@ def test_absolute_imports_are_standard_library(path):
             assert module.split(".")[0] in sys.stdlib_module_names, f"{path.name}:{node.lineno} imports {module}"
 
 
-@pytest.mark.parametrize("path", [*MODULES, ORACLE], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [*MODULES, ORACLE, HELPERS], ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), str(path))
     used = used_names(tree)
@@ -128,8 +129,7 @@ def test_helpers_read_no_private_package_name():
         for name, _ in private_definitions(ast.parse(path.read_text(), str(path)))
         if name.startswith("_") and not name.startswith("__")
     }
-    helpers = Path(__file__).resolve().parent / "helpers.py"
-    tree = ast.parse(helpers.read_text(), str(helpers))
+    tree = ast.parse(HELPERS.read_text(), str(HELPERS))
     reads = [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     for node in imports(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("daxcalc"):

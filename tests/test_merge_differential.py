@@ -18,9 +18,10 @@ copied or unpickled spec builds equal, still shared words.
 The parsers read a syllable spelled as str() prints it ("t", "t^-16") with one
 lookup in a second fixed table per spec, and any other spelling ("t^1",
 "t^+1", "t^01", "t^-0", "t^17") with a split at "^".  A fixed-seed
-differential against the token parser kept in helpers covers spellings on
-both sides of the table's edges, over finite factors whose raw exponents
-wrap.  The table itself is checked through its private attributes: 32
+differential against the token parser kept in helpers, which reads the
+tokens of its hand-written tokenizer and shares no pattern with
+daxcalc.words, covers spellings on both sides of the table's edges, over
+finite factors whose raw exponents wrap.  The table itself is checked through its private attributes: 32
 entries per factor, whatever is decoded, and each value the very pair the
 merge's table holds wherever it holds one, also in a copied or unpickled spec.
 """

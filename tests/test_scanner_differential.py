@@ -5,10 +5,11 @@ read its syllables with plain str splits on whitespace, "*" and "^" into an
 unchecked merge, and tokenize only the text they reject.  On a fixed-seed corpus
 of valid and malformed words and ring expressions they must return equal
 values, or raise the same exception class with the same message and
-position, as the token parser kept in helpers.  The malformed cases cover
-whitespace runs, "^"/"+"/"-" sign runs, digit-led names, non-ASCII letters
-and digits, and integer literals at and just past the interpreter's digit
-limit.  A fixed list pins the order of the identity-term error against
+position, as the token parser kept in helpers, which reads the tokens of the
+hand-written tokenizer there and shares no pattern with daxcalc.words.  The
+malformed cases cover whitespace runs, "^"/"+"/"-" sign runs, digit-led
+names, non-ASCII letters and digits, and integer literals at and just past
+the interpreter's digit limit.  A fixed list pins the order of the identity-term error against
 each parse error that can come before or after it.  Since the splits trust
 the fullmatch, a second corpus targets what they must read alike: Unicode
 whitespace inside a syllable, exponents with leading zeros, a "+" sign or
