@@ -110,7 +110,7 @@ class GroupSpec(_Value):
             _index=index,
             _orders=tuple(f.order for f in factors),
             _pairs=pairs,
-            # words._syllables' one lookup per spelling with 1 <= |exp| <= 16; the raw (unreduced) pair, _pairs' where it has one
+            # words.py's one lookup per spelling with 1 <= |exp| <= 16, in printed text and in _syllables; the raw pair, _pairs' where it has one
             _spellings={f.name if e == 1 else f"{f.name}^{e}": pairs[i].get(e) or (i, e) for i, f in enumerate(factors) for e in range(-16, 17) if e},
         )
 

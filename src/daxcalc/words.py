@@ -11,11 +11,14 @@ the interpreter converts (sys.get_int_max_str_digits(), 4300 by default); a
 longer digit run is a ParseError at its first digit.  Canonical output is
 produced by str() on GroupElement and RingElement; parse and str round-trip.
 
-Accept, then locate: one fullmatch of the grammar accepts well-formed text;
+Look up, then accept, then locate.  Text in printed form (as str() writes
+it: no whitespace but the single spaces around a term's sign, every "*"-piece
+a spelling in its spec's fixed table) is read by str splits and table lookups
+alone, with no regex.  Any other text goes to one fullmatch of the grammar;
 only then do str splits on whitespace and "*" cut its syllables.  Each is one
-lookup in its spec's fixed table of printed spellings, or else is split at
-"^", and all go to GroupSpec._merge unchecked.  _locate alone raises errors;
-the only values it builds are the words of the terms it walks.
+lookup in the table of spellings, or else is split at "^", and all go to
+GroupSpec._merge unchecked.  _locate alone raises errors; the only values it
+builds are the words of the terms it walks.
 Classes are ASCII, and no pattern has two optional whitespace runs side by
 side: rejection is linear.
 """
@@ -34,6 +37,7 @@ _WORD_TEXT = r"{0}(?:\s*\*\s*{0})*".format(rf"{_NAME}(?:\s*\^\s*(?:[-+]\s*)?[0-9
 _WORD = re.compile(rf"\s*(?:0*(1)|{_WORD_TEXT})\s*")
 _TERM = re.compile(rf"(?:\A|([-+]))\s*(?:([0-9]+)\s*\*\s*)?({_WORD_TEXT})")
 _RINGEXPR = re.compile(r"\s*(?:0+|(?:-\s*)?{0}(?:\s*[-+]\s*{0})*)\s*".format(rf"(?:[0-9]+\s*\*\s*)?{_WORD_TEXT}"))
+_SIGNS = {"+": 1, "-": -1}
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -69,7 +73,7 @@ def _walk_word(tokens: list[tuple[str, object, int]], i: int, spec: GroupSpec) -
 
 
 def _locate(text: str, spec: GroupSpec, ring: bool) -> NoReturn:
-    """Raise the first error in a text that the fast pass rejected."""
+    """Raise the first error in a text that the grammar rejected, or in which a printed term reduces to the identity."""
     tokens = _tokenize(text)
     kind, value, pos = tokens[0]
     if kind == "end":
@@ -103,10 +107,30 @@ def _syllables(word: str, spec: GroupSpec) -> list[tuple[int, int]]:
     return [spellings.get(p) or (index[(split := p.partition("^"))[0]], int(split[2] or 1)) for p in pieces]
 
 
+def _printed_ringexpr(text: str, spec: GroupSpec) -> RingElement:
+    """Read text in the layout RingElement.__str__ prints, any ASCII digits as a coefficient; else KeyError or ValueError."""
+    spellings, parts = spec._spellings, text.split(" ")
+    parts[:1] = ("-", parts[0][1:]) if parts[0][:1] == "-" else ("+", parts[0])
+    combined: dict[GroupElement, int] = {}
+    for sign, body in zip(parts[::2], parts[1::2], strict=True):  # a sign left over is a ValueError
+        coeff, _, word = body.partition("*")
+        if not (coeff.isascii() and coeff.isdigit()):  # int() also takes "+3", "3_0" and non-ASCII digits
+            coeff, word = "1", body
+        g = spec._merge([], [spellings[p] for p in word.split("*")])
+        combined[g] = combined.get(g, 0) + _SIGNS[sign] * int(coeff)  # past the digit limit, int() raises ValueError
+    if spec.identity() in combined:
+        _locate(text, spec, ring=True)  # printed text has no parse error, so this names its first identity term
+    return RingElement._counted(spec, combined)
+
+
 def parse_word(text: str, spec: GroupSpec) -> GroupElement:
     """Parse a word and return its reduced normal form; "1" is the identity."""
     _require(text, str, "text must be a string")
     _require(spec, GroupSpec, "spec must be a GroupSpec")
+    try:  # in printed form every "*"-piece is a spelling in the table
+        return spec._merge([], [spec._spellings[p] for p in text.split("*")])
+    except KeyError:
+        pass
     try:
         if match := _WORD.fullmatch(text):
             return spec.identity() if match[1] else spec._merge([], _syllables(text, spec))
@@ -119,6 +143,10 @@ def parse_ringexpr(text: str, spec: GroupSpec) -> RingElement:
     """Parse a signed sum of terms into a ring element, combining like terms."""
     _require(text, str, "text must be a string")
     _require(spec, GroupSpec, "spec must be a GroupSpec")
+    try:
+        return _printed_ringexpr(text, spec)
+    except (KeyError, ValueError):  # not in printed form
+        pass
     try:
         if _RINGEXPR.fullmatch(text):
             combined: dict[GroupElement, int] = {}

@@ -4,7 +4,7 @@ An autouse fixture arms a one-shot SIGALRM timer of BOUND_S seconds around
 each test and disarms it afterwards, restoring the previous handler.  A test
 still running when it fires fails with BoundExpired, which names the test and
 the bound, and the run goes on to the next test.  The slowest test takes
-about 2 s on a 2-vCPU VM, so the bound is generous; it turns a hang (say, a
+about 6 s on a 2-vCPU VM, so the bound is generous; it turns a hang (say, a
 row operation that never advances a pivot column) into a failure.
 
 BoundExpired derives from BaseException, not Exception, so the tests'

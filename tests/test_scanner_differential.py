@@ -1,8 +1,10 @@
 """Differential tests: the regular-expression parsers agree with the token parser.
 
-parse_word and parse_ringexpr accept well-formed text with one fullmatch,
-read its syllables with plain str splits on whitespace, "*" and "^" into an
-unchecked merge, and tokenize only the text they reject.  On a fixed-seed corpus
+parse_word and parse_ringexpr read text in printed form by table lookup,
+accept other well-formed text with one fullmatch, read its syllables with
+plain str splits on whitespace, "*" and "^" into an unchecked merge, and
+tokenize only the text they reject (test_printed_form_differential.py holds
+the two reads to each other).  On a fixed-seed corpus
 of valid and malformed words and ring expressions they must return equal
 values, or raise the same exception class with the same message and
 position, as the token parser kept in helpers, which reads the tokens of the
