@@ -7,7 +7,9 @@ strings embedded in documents use the text grammar from words.py, and a bad
 one reports both its field path and its character position, as in
 "sr_discs[1].word: unexpected trailing input (at position 2)".  Each
 distinct word string in a document is parsed once and every field that spells
-it shares that element; the table lives only for the one decoding call.
+it shares that element; the table lives only for the one decoding call.  An
+entry of a double_tubes, sr_discs or points list that passes one inline shape
+test and spells a known text formats no path; others go to the checked readers.
 
 A session document bundles one manifold (preset id or inline object), a named
 map of discs and a list of queries:
@@ -117,6 +119,25 @@ def _signed_word(value: Any, spec: GroupSpec, words: dict, path: str) -> tuple[i
     return sign, _word(data["word"], spec, words, f"{path}.word")
 
 
+def _tubes(value: Any, spec: GroupSpec, words: dict, path: str) -> tuple[GroupElement, ...]:
+    """A double_tubes list: a str entry takes words' element for its text; a new text or any other entry goes to _word."""
+    return tuple(g if type(t) is str and (g := words.get(t)) is not None else _word(t, spec, words, f"{path}[{i}]")
+                 for i, t in enumerate(_expect(value, list, path)))
+
+
+def _signed_words(value: Any, spec: GroupSpec, words: dict, path: str) -> PointList:
+    """sr_discs or points, valued as _signed_word on each entry; a valid-shaped entry with a known text formats no path."""
+    out = []
+    for i, entry in enumerate(_expect(value, list, path)):
+        if (type(entry) is dict and len(entry) == 2 and type(sign := entry.get("sign")) is int and sign in (1, -1)
+                and type(text := entry.get("word")) is str):
+            g = words.get(text)
+            out.append((sign, _word(text, spec, words, f"{path}[{i}].word") if g is None else g))
+        else:  # _signed_word names the fault
+            out.append(_signed_word(entry, spec, words, f"{path}[{i}]"))
+    return tuple(out)
+
+
 _FACTOR_KEYS = {"Z": {"type", "name"}, "Zn": {"type", "name", "n"}}
 
 
@@ -196,8 +217,8 @@ def disc_from_json(obj: Any, spec: GroupSpec, path: str = "disc") -> SRData:
 
 def _disc(obj: Any, spec: GroupSpec, words: dict, path: str) -> SRData:
     data = _object(obj, path, set(), {"double_tubes", "sr_discs"})
-    tubes = _list(data.get("double_tubes", []), f"{path}.double_tubes", _word, spec, words)
-    discs = _list(data.get("sr_discs", []), f"{path}.sr_discs", _signed_word, spec, words)
+    tubes = _tubes(data.get("double_tubes", []), spec, words, f"{path}.double_tubes")
+    discs = _signed_words(data.get("sr_discs", []), spec, words, f"{path}.sr_discs")
     return SRData(tubes, discs)
 
 
@@ -211,7 +232,7 @@ def disc_to_json(data: SRData) -> dict:
 def point_document_from_json(obj: Any, spec: GroupSpec, path: str = "points") -> PointList:
     """The standalone file form {"points": [...]} used by the pairing command."""
     data = _object(obj, path, {"points"})
-    return _list(data["points"], f"{path}.points", _signed_word, spec, {})
+    return _signed_words(data["points"], spec, {}, f"{path}.points")
 
 
 class SessionDocument(_Value):
@@ -246,7 +267,7 @@ def _query_from_json(obj: Any, declared: dict, spec: GroupSpec, words: dict, pat
         return kind, _ringexpr(data["element"], spec, f"{path}.element")
     if kind == "pairing":
         _object(data, path, {"kind", "points"})
-        return kind, _list(data["points"], f"{path}.points", _signed_word, spec, words)
+        return kind, _signed_words(data["points"], spec, words, f"{path}.points")
     raise ValidationError(f"unknown query kind {kind!r}", f"{path}.kind")
 
 

@@ -111,8 +111,10 @@ def _printed_ringexpr(text: str, spec: GroupSpec) -> RingElement:
     """Read text in the layout RingElement.__str__ prints, any ASCII digits as a coefficient; else KeyError or ValueError."""
     spellings, parts = spec._spellings, text.split(" ")
     parts[:1] = ("-", parts[0][1:]) if parts[0][:1] == "-" else ("+", parts[0])
+    if len(parts) % 2 or not set(parts[::2]) <= _SIGNS.keys():  # before any term is merged: rejection stays cheap
+        raise ValueError("a sign left over or out of place")
     combined: dict[GroupElement, int] = {}
-    for sign, body in zip(parts[::2], parts[1::2], strict=True):  # a sign left over is a ValueError
+    for sign, body in zip(parts[::2], parts[1::2]):
         coeff, _, word = body.partition("*")
         if not (coeff.isascii() and coeff.isdigit()):  # int() also takes "+3", "3_0" and non-ASCII digits
             coeff, word = "1", body

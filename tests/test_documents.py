@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from daxcalc import (
     ManifoldModel,
     PRESET_IDS,
     ParseError,
+    SRData,
     TrivialKernel,
     ValidationError,
     instantiate,
@@ -299,6 +301,70 @@ ITEM_ERRORS = [
     pytest.param(session_from_json, _session({"kind": "compare", "discs": ["x", "y", "z"]}), ValidationError,
                  "session.queries[0].discs: compare takes exactly two disc names", "session.queries[0].discs",
                  id="session.queries[0].discs"),
+    # one row per way an entry of a word list can fail its shape test
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, 5]}, ValidationError,
+                 "disc.sr_discs[1]: expected an object, got int", "disc.sr_discs[1]", id="disc.sr_discs[1]-int"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, [1, "t"]]}, ValidationError,
+                 "disc.sr_discs[1]: expected an object, got list", "disc.sr_discs[1]", id="disc.sr_discs[1]-list"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"word": "t"}]}, ValidationError,
+                 "disc.sr_discs[1]: missing required key 'sign'", "disc.sr_discs[1]", id="disc.sr_discs[1].sign-missing"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "wort": "t"}]}, ValidationError,
+                 "disc.sr_discs[1]: missing required key 'word'", "disc.sr_discs[1]", id="disc.sr_discs[1].word-misspelt"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1.0, "word": "t"}]}, ValidationError,
+                 "disc.sr_discs[1].sign: expected an integer, got float", "disc.sr_discs[1].sign",
+                 id="disc.sr_discs[1].sign-float"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": "1", "word": "t"}]}, ValidationError,
+                 "disc.sr_discs[1].sign: expected an integer, got str", "disc.sr_discs[1].sign",
+                 id="disc.sr_discs[1].sign-str"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": None, "word": "t"}]}, ValidationError,
+                 "disc.sr_discs[1].sign: expected an integer, got NoneType", "disc.sr_discs[1].sign",
+                 id="disc.sr_discs[1].sign-null"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": -1, "word": 5}]}, ValidationError,
+                 "disc.sr_discs[1].word: expected a string, got int", "disc.sr_discs[1].word",
+                 id="disc.sr_discs[1].word-int"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": None}]}, ValidationError,
+                 "disc.sr_discs[1].word: expected a string, got NoneType", "disc.sr_discs[1].word",
+                 id="disc.sr_discs[1].word-null"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": ["t"]}]}, ValidationError,
+                 "disc.sr_discs[1].word: expected a string, got list", "disc.sr_discs[1].word",
+                 id="disc.sr_discs[1].word-list"),
+    pytest.param(_disc, {"double_tubes": ["a", ["a"]]}, ValidationError,
+                 "disc.double_tubes[1]: expected a string, got list", "disc.double_tubes[1]",
+                 id="disc.double_tubes[1]-list"),
+    pytest.param(_disc, {"sr_discs": {"sign": 1, "word": "t"}}, ValidationError,
+                 "disc.sr_discs: expected a list, got dict", "disc.sr_discs", id="disc.sr_discs-not-a-list"),
+    pytest.param(_disc, {"double_tubes": "a"}, ValidationError,
+                 "disc.double_tubes: expected a list, got str", "disc.double_tubes", id="disc.double_tubes-not-a-list"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, SIGNED_T, {"sign": 1, "word": "t", "x": 0}]}, ValidationError,
+                 "disc.sr_discs[2]: unknown key 'x'", "disc.sr_discs[2]", id="disc.sr_discs[2]-after-a-repeat"),
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, SIGNED_T, {"sign": -2, "word": "t"}]}, ValidationError,
+                 "disc.sr_discs[2].sign: sign must be +1 or -1, got -2", "disc.sr_discs[2].sign",
+                 id="disc.sr_discs[2].sign-after-a-repeat"),
+    pytest.param(_disc, {"double_tubes": ["a", "a", None]}, ValidationError,
+                 "disc.double_tubes[2]: expected a string, got NoneType", "disc.double_tubes[2]",
+                 id="disc.double_tubes[2]-after-a-repeat"),
+    pytest.param(_points, {"points": [SIGNED_T, "t"]}, ValidationError,
+                 "points.points[1]: expected an object, got str", "points.points[1]", id="points.points[1]-str"),
+    pytest.param(_points, {"points": [SIGNED_T, {"sign": -1, "word": 7}]}, ValidationError,
+                 "points.points[1].word: expected a string, got int", "points.points[1].word", id="points.points[1].word"),
+    pytest.param(_points, {"points": "t"}, ValidationError,
+                 "points.points: expected a list, got str", "points.points", id="points.points-not-a-list"),
+    pytest.param(session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, {"sign": 1.0, "word": "t"}]}),
+                 ValidationError, "session.queries[0].points[1].sign: expected an integer, got float",
+                 "session.queries[0].points[1].sign", id="session.queries[0].points[1].sign"),
+    pytest.param(session_from_json, _session({"kind": "pairing", "points": [SIGNED_T, SIGNED_T, {"sign": 1}]}),
+                 ValidationError, "session.queries[0].points[2]: missing required key 'word'",
+                 "session.queries[0].points[2]", id="session.queries[0].points[2]-after-a-repeat"),
+    # precedence: tubes are read before sr_discs whatever the key order
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, 5], "double_tubes": ["a", 5]}, ValidationError,
+                 "disc.double_tubes[1]: expected a string, got int", "disc.double_tubes[1]", id="disc-tubes-first"),
+    pytest.param(_disc, {"sr_discs": [5], "double_tubes": ["a", "z"]}, ParseError,
+                 "disc.double_tubes[1]: unknown factor name 'z' (at position 0)", 0, id="disc-tube-parse-first"),
+    # precedence: entries are read in order, so entry i's parse error beats entry i+1's shape error
+    pytest.param(_disc, {"sr_discs": [SIGNED_T, {"sign": 1, "word": "t a a"}, 5]}, ParseError,
+                 "disc.sr_discs[1].word: unexpected trailing input (at position 2)", 2, id="disc.sr_discs-in-order"),
+    pytest.param(_disc, {"double_tubes": ["z", 5]}, ParseError,
+                 "disc.double_tubes[0]: unknown factor name 'z' (at position 0)", 0, id="disc.double_tubes-in-order"),
 ]
 
 
@@ -377,3 +443,45 @@ def test_standalone_disc_and_point_files_share_words_within_one_call(parse_calls
     points = point_document_from_json({"points": _signed(["t", "t"])}, SPEC)
     assert parse_calls == ["a", "t", "t"]
     assert points[0][1] is points[1][1] and points[0][1] is not disc.sr_discs[0][1]
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """Calls of documents' _object and _expect, by name."""
+    calls = Counter()
+    for name in ("_object", "_expect"):
+        original = getattr(daxcalc.documents, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(daxcalc.documents, name, counted)
+    return calls
+
+
+def test_a_repeated_list_entry_costs_no_checked_decoder_call(check_calls):
+    """Doubling every word list of a valid session adds no _object or _expect call: repeats take the shape test only."""
+    rng = random.Random(35)
+    obj = {
+        "manifold": manifold_to_json(ManifoldModel(SPEC, TrivialKernel())),
+        "discs": {f"d{i}": disc_to_json(random_srdata(rng, SPEC, max_discs=30)) for i in range(40)},
+        "queries": [{"kind": "pairing", "points": disc_to_json(random_srdata(rng, SPEC, max_discs=30))["sr_discs"]}
+                    for _ in range(10)],
+    }
+    doubled = json.loads(json.dumps(obj))
+    for disc in doubled["discs"].values():
+        disc["double_tubes"] *= 2
+        disc["sr_discs"] *= 2
+    for query in doubled["queries"]:
+        query["points"] *= 2
+    counts = []
+    for session in (obj, doubled):
+        check_calls.clear()
+        doc = session_from_json(session)
+        counts.append(dict(check_calls))
+    assert sum(len(d.sr_discs) + len(d.double_tubes) for d in doc.discs.values()) > 1000
+    assert counts[0] == counts[1]
+    assert session_from_json(obj).discs == {name: SRData(d.double_tubes[: len(d.double_tubes) // 2],
+                                                         d.sr_discs[: len(d.sr_discs) // 2])
+                                            for name, d in doc.discs.items()}
